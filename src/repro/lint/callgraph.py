@@ -45,7 +45,9 @@ from .topo import AddrSite, CacheSite, ComponentDecl, TtlSite, \
 #: Version 5 added the cdetopo layer: address-provenance sites, cache
 #: ownership/passing sites, TTL-arithmetic sites, and per-module
 #: component declarations.
-SUMMARY_VERSION = 5
+#: Version 6 dropped the cdesync RNG-idiom folds (``rb``/``gauss`` trace
+#: nodes) along with the inline RNG replicas they verified.
+SUMMARY_VERSION = 6
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"

@@ -39,26 +39,35 @@ def path_matches_any(path: str, patterns: tuple[str, ...]) -> bool:
 #: defaults stay usable under ``--no-config`` — the mutation tests lint
 #: pristine copies of ``src/repro`` that must come up clean.  The seven
 #: world packages get one structural carve-out each: their state lives
-#: inside one platform's :class:`SimulatedInternet`, which is built,
-#: measured and dropped per spec, so nothing there can grow with the
-#: census.  Everything on the census-lifetime path (study/, export) is
-#: itemised per receiver with its explicit bound.
+#: inside a shard's :class:`SimulatedInternet`, which keeps every platform
+#: of its stripe until the shard finishes.  That state is bounded per
+#: shard and grows with shard size, not with one platform; retiring
+#: measured platforms is ROADMAP item 2.  Everything on the
+#: census-lifetime path (study/, export) is itemised per receiver with its
+#: explicit bound.
 _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
-    # -- world-scoped packages: lifetime is one platform's world ------------
-    "repro/dns/*=world-scoped (messages, zones, per-name intern/encode "
-    "memos keyed by their inputs); dropped with the world after its row",
-    "repro/cache/*=world-scoped; TTL+capacity eviction bounds every "
-    "per-world cache",
-    "repro/resolver/*=world-scoped (pools, frontend table, selector load, "
-    "per-query visited/trace bounded by chain depth)",
-    "repro/server/*=world-scoped (zones, RRL token buckets, hierarchy "
-    "maps, the per-world QueryLog — windowed logs additionally ring-evict)",
-    "repro/client/*=world-scoped (browser host cache, SMTP attempt "
-    "records); dropped with the world",
-    "repro/net/*=world-scoped (endpoints, RNG stream memo over a fixed "
-    "label set, RRL window pruned per decision, per-shard perf counters)",
-    "repro/core/*=world-scoped (monitor history, prober URL list, "
-    "hierarchy registry); dropped with the world",
+    # -- world-scoped packages: lifetime is one shard's world ---------------
+    "repro/dns/*=shard-world-scoped (messages, zones) plus per-name "
+    "intern/encode memos capped at 8192 entries; the world keeps every "
+    "spec in its stripe, so this grows with shard size (ROADMAP item 2)",
+    "repro/cache/*=shard-world-scoped; TTL+capacity eviction bounds each "
+    "cache, but the world keeps every platform's caches until the shard "
+    "ends (ROADMAP item 2)",
+    "repro/resolver/*=shard-world-scoped (pools, frontend table, selector "
+    "load, per-query visited/trace bounded by chain depth); grows with "
+    "shard size (ROADMAP item 2)",
+    "repro/server/*=shard-world-scoped (zones, RRL token buckets, "
+    "hierarchy maps, the per-world QueryLog — windowed logs additionally "
+    "ring-evict); grows with shard size (ROADMAP item 2)",
+    "repro/client/*=shard-world-scoped (browser host cache, SMTP attempt "
+    "records); held until the shard ends, grows with shard size "
+    "(ROADMAP item 2)",
+    "repro/net/*=shard-world-scoped (endpoints, RNG stream memo, RRL "
+    "window pruned per decision, per-shard perf counters); grows with "
+    "shard size (ROADMAP item 2)",
+    "repro/core/*=shard-world-scoped (monitor history, prober URL list, "
+    "hierarchy registry); held until the shard ends, grows with shard "
+    "size (ROADMAP item 2)",
     # -- the linter itself --------------------------------------------------
     "repro/lint/*=never on a measurement path; reachable only through "
     "simple-name call binding (same precedent as shard-state-allow)",
@@ -80,14 +89,16 @@ _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
     "drain_rows every pipeline turn, bounded by rows per turn",
     "repro/study/engine.py::_FastPlan.build::cold_chains=per-platform "
     "plan construction, lifetime one platform",
+    "repro/study/engine.py::_fused_upstream_*::plan.corridor=fixed-size "
+    "per-cache memo (len == n_caches), slots overwritten in place",
     "repro/study/export.py::CensusWriter.write_dict::self._buffer="
     "flushed every chunk_size rows, bounded by chunk_size",
     "repro/study/export.py::CensusWriter._flush_chunk::self.chunks="
     "manifest chunk index: one entry per chunk_size rows, the resume "
     "contract itself",
     "repro/study/internet.py::SimulatedInternet.add_platform_from_spec::"
-    "self.platforms=world-scoped platform registry; streaming shards host "
-    "one spec per world",
+    "self.platforms=shard-world platform registry: one entry per spec in "
+    "the shard's stripe, held until the shard ends (ROADMAP item 2)",
     "repro/study/parallel.py::_merge_spilled::taken=fixed-size per-shard "
     "merge cursor (len == n_shards)",
     "repro/study/stats.py::*=fixed-size accumulators: integer counters "
@@ -120,7 +131,7 @@ class LintConfig:
     shard_entries: tuple[str, ...] = (
         "repro/study/parallel.py::run_shard",
         "repro/study/engine.py::ShardLane.run_to_completion",
-        "repro/study/engine.py::PipelinedEngine.run",
+        "repro/study/engine.py::PipelinedEngine.stream",
         "repro/study/measurement.py::measure_population",
         # measure_population reaches these through the MEASURES dict (a
         # variable call the graph cannot resolve), so the per-technique
@@ -175,7 +186,6 @@ class LintConfig:
     #: rows from many worlds and must not touch world-scoped state.
     merge_entries: tuple[str, ...] = (
         "repro/study/parallel.py::run_parallel_measurement",
-        "repro/study/parallel.py::measure_population_parallel",
     )
     #: Shard-spec constructors (CDE012): fork-unsafe resources must not
     #: flow into these (specs are pickled across process boundaries).
@@ -202,16 +212,16 @@ class LintConfig:
     probe_history_types: tuple[str, ...] = ("ProbeFailure",)
     #: cdesync (CDE015) RNG-callable table: ``name=method`` maps a call
     #: whose resolved chain *ends* in ``name`` to a canonical RNG method
-    #: token.  ``randbelow`` is the canonical form of the rejection-
-    #: sampling idiom (``randrange``/``randint`` and folded
-    #: ``getrandbits`` retry loops all draw it).
+    #: token.  ``randbelow`` is the canonical form of ``randrange`` and
+    #: ``randint``; the ``*_randrange`` and ``sel_state`` entries are the
+    #: fused corridor's bound ``randrange`` slots.
     trace_rng_callables: tuple[str, ...] = (
         "random=random", "gauss=gauss", "uniform=uniform",
-        "choice=choice", "shuffle=shuffle", "getrandbits=getrandbits",
+        "choice=choice", "shuffle=shuffle",
         "randrange=randbelow", "randint=randbelow",
         "rng_random=random", "rng_gauss=gauss",
-        "prober_randrange=randbelow", "prober_getrandbits=getrandbits",
-        "egress_getrandbits=getrandbits", "sel_state=getrandbits",
+        "prober_randrange=randbelow", "platform_randrange=randbelow",
+        "egress_randrange=randbelow", "sel_state=randbelow",
     )
     #: cdesync container attributes: a call whose resolved chain passes
     #: *through* one of these is a container read/helper and emits no
@@ -264,12 +274,9 @@ class LintConfig:
     #: fused corridor and lane batch loops, where a hoistable allocation
     #: is a per-probe cost the fast path exists to avoid.
     hot_paths: tuple[str, ...] = (
-        "repro/study/engine.py::_leg_inline",
-        "repro/study/engine.py::_leg_generic",
+        "repro/study/engine.py::_leg",
         "repro/study/engine.py::_fused_probe",
-        "repro/study/engine.py::_fused_probe_flat",
         "repro/study/engine.py::_fused_resolve",
-        "repro/study/engine.py::_fused_resolve_flat",
         "repro/study/engine.py::_fused_resolve_chain",
         "repro/study/engine.py::_fused_upstream",
         "repro/study/engine.py::_fused_upstream_cold",

@@ -69,8 +69,8 @@ class ReplicaDriftRule(Rule):
 
     For each bound pair the rule compiles both functions' stored effect
     traces into NFAs over a canonical alphabet — ``rng:<method>`` draws
-    (rejection-sampling idioms folded to ``rng:randbelow``, inline
-    Box-Muller to ``rng:gauss``), ``clock`` writes, ``mut:<attr>``
+    (``randrange``/``randint`` as ``rng:randbelow``), ``clock`` writes,
+    ``mut:<attr>``
     mutations of configured observable state, ``sync:<original>``
     cross-pair calls — and checks *trace inclusion* with adjacent-
     duplicate collapse on mutations and sync calls.  Replica effects are

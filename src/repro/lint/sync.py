@@ -16,10 +16,10 @@ Canonical alphabet
 
 ``rng:<method>``
     A draw, by canonical method.  Resolved through the config RNG-
-    callable table; ``randrange``/``randint`` calls and folded
-    ``getrandbits`` retry loops all canonicalize to ``rng:randbelow``,
-    and the inlined Box-Muller block to ``rng:gauss``, so a fused
-    rejection-sampling idiom compares equal to the structured call.
+    callable table; ``randrange``/``randint`` calls and the fused
+    corridor's bound ``randrange`` slots all canonicalize to
+    ``rng:randbelow``, so a fused draw compares equal to the structured
+    call.
 
 ``clock``
     A virtual-clock write (``_now`` assignment, however reached).
@@ -380,10 +380,6 @@ class _Compiler:
             return self.call(tree[1], tree[2], s, ctx)
         if kind == "mut":
             return self.mutation(tree[1], tree[2], s, ctx)
-        if kind == "rb":
-            return self.randbelow(tree[1], tree[2], s, ctx)
-        if kind == "gauss":
-            return self.token(s, "rng:gauss", tree[1], ctx)
         if kind == "layout":
             return s  # object construction is unobservable (CDE016's job)
         return s  # pragma: no cover - unknown node kinds are inert
@@ -412,22 +408,12 @@ class _Compiler:
             return self.token(s, f"mut:{label}", line, ctx)
         return s
 
-    def randbelow(self, chain: list, line: int, s: int, ctx: _Ctx) -> int:
-        method = self.tables.rng_map.get(str(chain[-1]))
-        if method is None:
-            return s
-        if method in ("getrandbits", "randbelow"):
-            return self.token(s, "rng:randbelow", line, ctx)
-        return self.token(s, f"rng:{method}", line, ctx)
-
     def call(self, chain: list, line: int, s: int, ctx: _Ctx) -> int:
         name = str(chain[-1])
         # 1. RNG draw through the callable table.
         method = self.tables.rng_map.get(name)
         if method is not None:
-            label = "rng:randbelow" if method == "randbelow" else (
-                f"rng:{method}")
-            return self.token(s, label, line, ctx)
+            return self.token(s, f"rng:{method}", line, ctx)
         # 2. Bound-pair calls canonicalize to sync tokens.
         sync_label = self.index.sync_by_name.get(name)
         if sync_label is not None:

@@ -3,8 +3,8 @@
 A *trace* is a loop/branch-structured tree describing every observable
 effect a function body can perform, in program order: attribute and
 container mutations (with their resolved receiver chains), calls (with
-resolved receiver chains, so the matcher can classify them), RNG-idiom
-folds, and constructed-``__dict__`` layouts.  Traces are deliberately
+resolved receiver chains, so the matcher can classify them), and
+constructed-``__dict__`` layouts.  Traces are deliberately
 **config-independent** — receiver chains are resolved against local
 aliases only, and classification (which chain is an RNG draw, which
 attribute is observable state) happens at match time in
@@ -22,16 +22,7 @@ Node encoding (JSON-ready nested lists)::
     ["brk"] / ["cont"]            loop control
     ["call", [chain...], line]    call through resolved receiver chain
     ["mut", [chain...], line]     attribute/container mutation
-    ["rb", [chain...], line]      rejection-sampling fold (randbelow idiom)
-    ["gauss", line]               inlined Box-Muller fold (one gauss draw)
     ["layout", cls, [fields...], line]   constructed ``__dict__`` literal
-
-Two idiom folds keep fused code comparable to the structured original:
-the ``getrandbits``-retry loop (``x = f(k)`` / ``while x >= n: x = f(k)``,
-or the discarded-draw ``while f(k) >= n: pass``) folds to one ``rb``
-node, mirroring ``Random._randbelow``; and the inlined Box-Muller block
-(``z = rng.gauss_next; rng.gauss_next = None; if z is None: ...``) folds
-to one ``gauss`` node, mirroring a single ``Random.gauss`` call.
 
 The module also parses ``# cdelint: replica-of=<dotted.path>`` markers
 (on the ``def`` line or the line above) and per-module dataclass field
@@ -313,84 +304,9 @@ class _Extractor:
 
     def block(self, stmts: list[ast.stmt]) -> TraceNode:
         out: list[TraceNode] = []
-        index = 0
-        while index < len(stmts):
-            consumed = self.fold_randbelow(stmts, index, out)
-            if consumed:
-                index += consumed
-                continue
-            consumed = self.fold_gauss(stmts, index, out)
-            if consumed:
-                index += consumed
-                continue
-            self.stmt(stmts[index], out)
-            index += 1
+        for stmt in stmts:
+            self.stmt(stmt, out)
         return ["seq", out]
-
-    def fold_randbelow(self, stmts: list[ast.stmt], index: int,
-                       out: list[TraceNode]) -> int:
-        """``x = f(k); while x >= n: x = f(k)`` or ``while f(k) >= n: pass``."""
-        stmt = stmts[index]
-        # Discarded-draw shape.
-        if (isinstance(stmt, ast.While)
-                and _compare_ge_call(stmt.test) is not None
-                and len(stmt.body) == 1
-                and isinstance(stmt.body[0], ast.Pass)):
-            call = _compare_ge_call(stmt.test)
-            assert call is not None
-            chain = self.chain_of(call.func)
-            if chain is not None:
-                out.append(["rb", chain, stmt.lineno])
-                return 1
-        # Retained-draw shape.
-        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-                and index + 1 < len(stmts)):
-            name = stmt.targets[0].id
-            nxt = stmts[index + 1]
-            if (isinstance(nxt, ast.While)
-                    and _compare_ge_name(nxt.test) == name
-                    and len(nxt.body) == 1
-                    and isinstance(nxt.body[0], ast.Assign)
-                    and len(nxt.body[0].targets) == 1
-                    and isinstance(nxt.body[0].targets[0], ast.Name)
-                    and nxt.body[0].targets[0].id == name
-                    and isinstance(nxt.body[0].value, ast.Call)):
-                chain = self.chain_of(stmt.value.func)
-                if chain is not None:
-                    out.append(["rb", chain, stmt.lineno])
-                    self.env.pop(name, None)
-                    return 2
-        return 0
-
-    def fold_gauss(self, stmts: list[ast.stmt], index: int,
-                   out: list[TraceNode]) -> int:
-        """Inlined Box-Muller: ``z = *.gauss_next; *.gauss_next = None;
-        if z is None: <refill>`` folds to one ``gauss`` node."""
-        if index + 2 >= len(stmts):
-            return 0
-        first, second, third = stmts[index:index + 3]
-        if not (isinstance(first, ast.Assign) and len(first.targets) == 1
-                and isinstance(first.targets[0], ast.Name)
-                and isinstance(first.value, ast.Attribute)
-                and first.value.attr == "gauss_next"):
-            return 0
-        name = first.targets[0].id
-        if not (isinstance(second, ast.Assign) and len(second.targets) == 1
-                and isinstance(second.targets[0], ast.Attribute)
-                and second.targets[0].attr == "gauss_next"):
-            return 0
-        if not (isinstance(third, ast.If)
-                and isinstance(third.test, ast.Compare)
-                and isinstance(third.test.left, ast.Name)
-                and third.test.left.id == name
-                and len(third.test.ops) == 1
-                and isinstance(third.test.ops[0], ast.Is)):
-            return 0
-        out.append(["gauss", first.lineno])
-        self.env.pop(name, None)
-        return 3
 
     def stmt(self, node: ast.stmt, out: list[TraceNode]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -562,20 +478,6 @@ class _Extractor:
                     self.mut_target(elt, line, out)
 
 
-def _compare_ge_call(test: ast.expr) -> Optional[ast.Call]:
-    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Call)
-            and len(test.ops) == 1 and isinstance(test.ops[0], ast.GtE)):
-        return test.left
-    return None
-
-
-def _compare_ge_name(test: ast.expr) -> Optional[str]:
-    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
-            and len(test.ops) == 1 and isinstance(test.ops[0], ast.GtE)):
-        return test.left.id
-    return None
-
-
 def extract_trace(func: ast.FunctionDef | ast.AsyncFunctionDef,
                   objnew: frozenset[str] = frozenset(),
                   objsetattr: frozenset[str] = frozenset()) -> TraceNode:
@@ -587,7 +489,7 @@ def extract_trace(func: ast.FunctionDef | ast.AsyncFunctionDef,
 def has_effect_nodes(node: TraceNode) -> bool:
     """Whether a trace holds any effect leaf (pure traces are not stored)."""
     kind = node[0]
-    if kind in ("call", "mut", "rb", "gauss", "layout"):
+    if kind in ("call", "mut", "layout"):
         return True
     if kind in ("seq", "alt"):
         return any(has_effect_nodes(child) for child in node[1])

@@ -4,9 +4,9 @@ The paper's census enumerates caches across hundreds of thousands of open
 resolvers; reaching that scale in the reproduction means no layer may hold
 the whole census.  :func:`run_census` wires the pieces end to end:
 
-* **rows** come from the sharded measurement engine — materialized
-  (:func:`~repro.study.parallel.run_parallel_measurement`) or streamed
-  (:func:`~repro.study.parallel.stream_parallel_measurement`), or from the
+* **rows** stream from the sharded measurement engine
+  (:func:`~repro.study.parallel.stream_parallel_measurement`; with
+  ``stream`` off the result also keeps them as a list), or from the
   synthetic :func:`simulate_census_rows` source the scale bench uses;
 * **aggregates** fold online into :class:`CensusAggregates` — accuracy,
   CDFs, bubbles, ratio categories, resilience, operator mix and the
@@ -38,11 +38,7 @@ from .accuracy import AccuracyReport
 from .export import DEFAULT_CHUNK_ROWS, CensusWriter
 from .internet import WorldConfig
 from .measurement import MeasurementBudget, PlatformMeasurement
-from .parallel import (
-    WorkerSpec,
-    run_parallel_measurement,
-    stream_parallel_measurement,
-)
+from .parallel import WorkerSpec, stream_parallel_measurement
 from .population import PlatformSpec, PopulationGenerator, iter_population
 from .stats import (
     BubbleAccumulator,
@@ -178,7 +174,7 @@ class CensusResult:
     """What one census run produced."""
 
     aggregates: CensusAggregates
-    rows: Optional[list[PlatformMeasurement]] = None   # in-memory mode only
+    rows: Optional[list[PlatformMeasurement]] = None   # kept unless stream
     perf: Optional[PerfCounters] = None
     out_dir: Optional[str] = None
     written_rows: int = 0
@@ -261,25 +257,16 @@ def run_census(specs: Optional[list[PlatformSpec]] = None,
                 count, seed=seed, population=population, **caps)
             written = _fold_and_write(rows_iter, aggregates, confidence,
                                       writer, keep, max_rss_mb)
-        elif stream:
+        else:
             if specs is None:
                 specs = list(iter_specs(population, count, seed=seed, **caps))
             streamed = stream_parallel_measurement(
                 specs, base_seed=seed, workers=workers, n_shards=n_shards,
                 config=config, budget=budget, force_pool=force_pool)
+            keep = None if stream else []
             written = _fold_and_write(streamed, aggregates, confidence,
                                       writer, keep, max_rss_mb)
             perf = streamed.perf
-        else:
-            if specs is None:
-                specs = list(iter_specs(population, count, seed=seed, **caps))
-            measured = run_parallel_measurement(
-                specs, base_seed=seed, workers=workers, n_shards=n_shards,
-                config=config, budget=budget, force_pool=force_pool)
-            keep = []
-            written = _fold_and_write(measured.rows, aggregates, confidence,
-                                      writer, keep, max_rss_mb)
-            perf = measured.perf
         if writer is not None:
             writer.close()
             # The close may have flushed one final short chunk; keep the

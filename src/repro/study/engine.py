@@ -47,13 +47,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from math import cos as _cos
 from math import exp
-from math import log as _log
-from math import pi as _pi
-from math import sin as _sin
-from math import sqrt as _sqrt
-from random import Random
 from typing import Any, Callable, Generator, Optional
 
 from ..cache.cache import DnsCache
@@ -153,7 +147,6 @@ def _link_params(profile: LinkProfile) -> Optional[_LegParams]:
     return (lognormal, median, sigma, rate)
 
 
-_TWOPI = 2.0 * _pi
 _obj_new = object.__new__
 #: Bypasses the frozen-dataclass ``__setattr__`` (which rejects even
 #: ``__dict__`` assignment) — exactly what dataclass ``__init__`` does.
@@ -229,64 +222,7 @@ def _check_dataclass_layout() -> bool:
         return False
 
 
-def _check_inline_gauss() -> bool:
-    """True when the inlined Box–Muller replica matches ``Random.gauss``.
-
-    The replica (see :func:`_leg_inline`) hand-manages the ``gauss_next``
-    spare so latency sampling skips a method call per draw.  Verified
-    against the real implementation — including internal state — so a
-    future stdlib algorithm change degrades to the method call instead of
-    silently changing the seeded draw stream.
-    """
-    try:
-        real, mine = Random(987654321), Random(987654321)
-        for sigma in (1.25, 0.5, 2.0, 0.75, 1.0):
-            z = mine.gauss_next
-            mine.gauss_next = None
-            if z is None:
-                x2pi = mine.random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - mine.random()))
-                z = _cos(x2pi) * g2rad
-                mine.gauss_next = _sin(x2pi) * g2rad
-            if real.gauss(0.0, sigma) != z * sigma or \
-                    real.getstate() != mine.getstate():
-                return False
-        return True
-    except (AttributeError, TypeError):
-        return False
-
-
-def _check_inline_randbelow() -> bool:
-    """True when the inlined ``randrange(n)`` replica is draw-exact.
-
-    ``Random.randrange(n)`` bottoms out in ``_randbelow_with_getrandbits``:
-    draw ``n.bit_length()`` bits, redraw while the value is >= ``n``.  The
-    corridor replays that loop directly on the bound ``getrandbits`` to
-    skip two stdlib call frames per message id / egress pick; verified
-    here against the real method on a cloned RNG so an implementation
-    change falls back instead of shifting the seeded stream.
-    """
-    try:
-        real, mine = Random(246813579), Random(246813579)
-        for bound in (1 << 16, 3, 7, 1, 12):
-            k = bound.bit_length()
-            getrandbits = mine.getrandbits
-            value = getrandbits(k)
-            while value >= bound:
-                value = getrandbits(k)
-            if real.randrange(bound) != value or \
-                    real.getstate() != mine.getstate():
-                return False
-        return True
-    except (AttributeError, TypeError):
-        return False
-
-
 _FAST_LAYOUT = _check_dataclass_layout()
-_INLINE_GAUSS = _check_inline_gauss()
-_INLINE_RANDBELOW = _check_inline_randbelow()
-#: All three replicas verified → the fully flattened probe path is safe.
-_FULL_FAST = _FAST_LAYOUT and _INLINE_GAUSS and _INLINE_RANDBELOW
 
 
 class _ColdChain:
@@ -455,12 +391,10 @@ class _FastPlan:
         "prober_profile", "ingress_profile", "server", "query_log",
         "ns_ip", "server_profile",
         # fast-path state
-        "base_domain", "network_rng", "rng_gauss", "rng_random",
+        "base_domain", "rng_gauss", "rng_random",
         "prober_randrange", "platform_randrange", "egress_randrange",
-        "prober_getrandbits", "platform_getrandbits", "egress_getrandbits",
-        "egress_bits",
         "probe_src", "probe_dst", "server_dst", "egress_src", "fast_links",
-        "sel_kind", "sel_state", "sel_bits",
+        "sel_kind", "sel_state",
         "log_indexed", "suffix_tails", "zone", "template", "ns_key", "a_key",
         "corridor", "cold", "cold_walk_misses",
     )
@@ -495,7 +429,6 @@ class _FastPlan:
         # -- fast-path precomputation -----------------------------------
         self.base_domain: DnsName = world.cde.base_domain
         rng = self.network._rng
-        self.network_rng: Random = rng
         self.rng_gauss: Callable[[float, float], float] = rng.gauss
         self.rng_random: Callable[[], float] = rng.random
         self.prober_randrange: Callable[[int], int] = self.prober.rng.randrange
@@ -503,14 +436,6 @@ class _FastPlan:
         # build() gated the selector type, so ``_rng`` is its only state.
         self.egress_randrange: Callable[[int], int] = \
             platform.egress_selector._rng.randrange
-        # _check_inline_randbelow proved the getrandbits replay draw-exact.
-        self.prober_getrandbits: Callable[[int], int] = \
-            self.prober.rng.getrandbits
-        self.platform_getrandbits: Callable[[int], int] = \
-            platform.rng.getrandbits
-        self.egress_getrandbits: Callable[[int], int] = \
-            platform.egress_selector._rng.getrandbits
-        self.egress_bits: int = self.n_egress.bit_length()
         self.probe_src = _link_params(prober_profile)
         self.probe_dst = _link_params(ingress_profile)
         self.server_dst = _link_params(server_profile)
@@ -522,21 +447,19 @@ class _FastPlan:
         # Type-gated cache-selector fast path: every stock selector's
         # ``select`` reduces to a cheap expression of state the corridor
         # holds (corridor queries always arrive from the prober's address).
-        # 0 = generic call, 1 = round-robin, 2 = uniform-random (inline
-        # randbelow), 3 = qname-hash (per-name memo), 4 = source-ip-hash
+        # 0 = generic call, 1 = round-robin, 2 = uniform-random (its bound
+        # ``randrange``), 3 = qname-hash (per-name memo), 4 = source-ip-hash
         # (one fixed index).
         selector = platform.cache_selector
         selector_type = type(selector)
         self.sel_kind: int = 0
         self.sel_state: Any = None
-        self.sel_bits: int = 0
         if selector_type is RoundRobinSelector:
             self.sel_kind = 1
             self.sel_state = selector
-        elif selector_type is UniformRandomSelector and _INLINE_RANDBELOW:
+        elif selector_type is UniformRandomSelector:
             self.sel_kind = 2
-            self.sel_state = selector._rng.getrandbits
-            self.sel_bits = self.n_caches.bit_length()
+            self.sel_state = selector._rng.randrange
         elif selector_type is QnameHashSelector:
             self.sel_kind = 3
             self.sel_state = (selector._salt, {})
@@ -630,52 +553,14 @@ class _FastPlan:
 
 
 # cdelint: replica-of=repro.net.network.Network._traverse
-def _leg_inline(plan: _FastPlan, src: _LegParams, dst: _LegParams
-                ) -> tuple[bool, float]:
+def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
+         ) -> tuple[bool, float]:
     """``Network._traverse`` inlined for the gated link models.
 
     Same draws, same order, same short-circuit: destination latency,
     destination loss, source latency, then source loss only when the
-    message was not already lost.  The log-normal draw opens up
-    ``Random.gauss`` too (Box–Muller with a spare), manually managing the
-    ``gauss_next`` state on the network RNG — :func:`_check_inline_gauss`
-    proved the replica state-exact at import time.
+    message was not already lost.
     """
-    rng = plan.network_rng
-    lognormal, median, sigma, rate = dst
-    if lognormal:
-        z = rng.gauss_next
-        rng.gauss_next = None
-        if z is None:
-            x2pi = rng.random() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
-            z = _cos(x2pi) * g2rad
-            rng.gauss_next = _sin(x2pi) * g2rad
-        latency = median * exp(z * sigma)
-    else:
-        latency = median
-    lost = rate > 0.0 and plan.rng_random() < rate
-    lognormal, median, sigma, rate = src
-    if lognormal:
-        z = rng.gauss_next
-        rng.gauss_next = None
-        if z is None:
-            x2pi = rng.random() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
-            z = _cos(x2pi) * g2rad
-            rng.gauss_next = _sin(x2pi) * g2rad
-        latency += median * exp(z * sigma)
-    else:
-        latency += median
-    if not lost:
-        lost = rate > 0.0 and plan.rng_random() < rate
-    return lost, latency
-
-
-# cdelint: replica-of=repro.net.network.Network._traverse
-def _leg_generic(plan: _FastPlan, src: _LegParams, dst: _LegParams
-                 ) -> tuple[bool, float]:
-    """The same traversal drawing through ``Random.gauss`` itself."""
     gauss = plan.rng_gauss
     lognormal, median, sigma, rate = dst
     latency = median * exp(gauss(0.0, sigma)) if lognormal else median
@@ -685,10 +570,6 @@ def _leg_generic(plan: _FastPlan, src: _LegParams, dst: _LegParams
     if not lost:
         lost = rate > 0.0 and plan.rng_random() < rate
     return lost, latency
-
-
-_leg: Callable[[_FastPlan, _LegParams, _LegParams], tuple[bool, float]] = (
-    _leg_inline if _INLINE_GAUSS else _leg_generic)
 
 
 # cdelint: replica-of=repro.core.prober.DirectProber.probe
@@ -707,12 +588,7 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     # The outer query's message id is drawn but observed by no one (the
     # platform does not log client ids); the draw itself must still happen
     # to keep the "prober" stream aligned with the real path.
-    if _INLINE_RANDBELOW:
-        getrandbits = plan.prober_getrandbits
-        while getrandbits(17) >= 65536:
-            pass
-    else:
-        plan.prober_randrange(1 << 16)
+    plan.prober_randrange(1 << 16)
     timeout = plan.timeout
     fast = plan.fast_links
     attempts = 0
@@ -755,376 +631,6 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     return False
 
 
-# cdelint: replica-of=repro.core.prober.DirectProber.probe
-def _fused_probe_flat(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
-    """:func:`_fused_probe` with the probe legs fully flattened.
-
-    One frame for the prober's attempt loop: the link-model draws run as
-    the proven inline replicas with the leg parameters unpacked once
-    before the loop (no per-leg call, no tuple packing).  Only selected
-    when :data:`_FULL_FAST` holds and the plan's links are the gated
-    models; the draw sequence is byte-for-byte the one
-    :func:`_fused_probe` + :func:`_leg_inline` produce.
-    """
-    clock = plan.clock
-    stats = plan.stats
-    rng = plan.network_rng
-    rng_random = rng.random
-    plan.prober.queries_sent += 1
-    # Discarded prober message-id draw (see _fused_probe).
-    getrandbits = plan.prober_getrandbits
-    while getrandbits(17) >= 65536:
-        pass
-    timeout = plan.timeout
-    assert plan.probe_dst is not None and plan.probe_src is not None
-    dst_ln, dst_med, dst_sig, dst_rate = plan.probe_dst
-    src_ln, src_med, src_sig, src_rate = plan.probe_src
-    retries = plan.retries
-    attempts = 0
-    while attempts <= retries:
-        attempts += 1
-        if attempts > 1:
-            stats.retransmissions += 1
-        sent_at = clock._now
-        stats.messages_sent += 1
-        # Request leg: destination draw first, then source (as _traverse).
-        if dst_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            latency = dst_med * exp(z * dst_sig)
-        else:
-            latency = dst_med
-        lost = dst_rate > 0.0 and rng_random() < dst_rate
-        if src_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            latency += src_med * exp(z * src_sig)
-        else:
-            latency += src_med
-        if not lost:
-            lost = src_rate > 0.0 and rng_random() < src_rate
-        if lost:
-            stats.requests_lost += 1
-            clock._now = sent_at + timeout      # advance_to, never backward
-            continue
-        clock._now = sent_at + latency
-        _fused_resolve_flat(plan, qname, qtype)
-        # Response leg: same draw order.
-        if dst_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            latency = dst_med * exp(z * dst_sig)
-        else:
-            latency = dst_med
-        lost = dst_rate > 0.0 and rng_random() < dst_rate
-        if src_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            latency += src_med * exp(z * src_sig)
-        else:
-            latency += src_med
-        if not lost:
-            lost = src_rate > 0.0 and rng_random() < src_rate
-        if lost:
-            stats.responses_lost += 1
-            deadline = sent_at + timeout
-            if deadline > clock._now:           # max(now, deadline)
-                clock._now = deadline
-            continue
-        clock._now += latency
-        stats.messages_delivered += 1
-        return True
-    stats.timeouts += 1
-    return False
-
-
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform.resolve_for_client
-def _fused_resolve_flat(plan: _FastPlan, qname: DnsName,
-                        qtype: RRType) -> None:
-    """:func:`_fused_resolve` with the warm corridor fully flattened.
-
-    Selector dispatch, membership gate, memo validation, the CDE
-    transaction's draws/legs/log record and the answer put all run in this
-    one frame; every rare shape (chain hit, cold cache, memo invalidation,
-    structural surprise) delegates to the structured helpers from exactly
-    the point the real code would reach them.  A lost transaction replays
-    the real path's observable effect (timeout counted, resolution marked
-    failed, no answer stored) without constructing the swallowed
-    :class:`ResolutionError`.
-    """
-    platform = plan.platform
-    pstats = platform.stats
-    pstats.queries += 1
-    platform._sequence += 1
-    sel_kind = plan.sel_kind
-    if sel_kind == 2:       # uniform-random: inline randbelow on its rng
-        sel_rand = plan.sel_state
-        n_caches = plan.n_caches
-        sel_bits = plan.sel_bits
-        cache_index = sel_rand(sel_bits)
-        while cache_index >= n_caches:
-            cache_index = sel_rand(sel_bits)
-    elif sel_kind == 4:     # source-ip-hash: the prober is the only client
-        cache_index = plan.sel_state
-    elif sel_kind == 1:     # round-robin: arrival counter
-        selector = plan.sel_state
-        cache_index = selector._next % plan.n_caches
-        selector._next += 1
-    elif sel_kind == 3:     # qname-hash: one digest per distinct name
-        salt, memo = plan.sel_state
-        cache_index = memo.get(qname)
-        if cache_index is None:
-            memo[qname] = cache_index = _stable_hash(
-                salt, str(qname).lower()) % plan.n_caches
-    else:
-        context = _obj_new(QueryContext)
-        _obj_setattr(context, "__dict__",
-                     {"qname": qname, "qtype": qtype,
-                      "src_ip": plan.prober_ip,
-                      "sequence": platform._sequence})
-        cache_index = plan.cache_selector.select(context, plan.n_caches)
-    cache = plan.caches[cache_index]
-    clock = plan.clock
-    clock._now += 0.0002        # intra-platform hop, as in resolve_for_client
-    centries = cache._entries
-    entry = centries.get((qname, qtype))
-    if entry is not None:
-        now = clock._now
-        if now < entry.expires_at:
-            # Live entry at the exact key: _answer_from's first get hits
-            # (any kind ends the chain) — touch + both hit counters.
-            entry.hits += 1
-            entry.last_used = now
-            cache.stats.hits += 1
-            pstats.cache_hits += 1
-            return
-        _fused_resolve_chain(plan, cache, cache_index, qname, qtype)
-        return
-    if ((qname, _ANY) in centries
-            or (qname, _CNAME) in centries
-            or (qname, _NS) in centries):
-        _fused_resolve_chain(plan, cache, cache_index, qname, qtype)
-        return
-    # Provable miss (see _fused_resolve): replay _answer_from's stats.
-    cache.stats.misses += 2 if qtype is not _CNAME else 1
-    pstats.cache_misses += 1
-    template = plan.template
-    memo2 = (plan.corridor[cache_index]
-             if template is not None and qtype is RRType.A else None)
-    warm = False
-    if memo2 is not None:
-        ns_entry, a_entry = memo2
-        now = clock._now
-        a_key = plan.a_key
-        zone = plan.zone
-        warm = (a_key is not None and zone is not None
-                and centries.get(plan.ns_key) is ns_entry
-                and now < ns_entry.expires_at
-                and centries.get(a_key) is a_entry
-                and now < a_entry.expires_at
-                and zone._rrsets.get(template[0]) is template[1]
-                and len(template[1].records) == template[2])
-    if not warm:
-        try:
-            if not _fused_upstream(plan, cache, cache_index, qname, qtype):
-                platform._resolve_upstream(cache, qname, qtype)
-        except ResolutionError:
-            pstats.failures += 1
-        return
-    # -- warm corridor: stat replay (see _fused_upstream) ------------------
-    cstats = cache.stats
-    cstats.misses += 3
-    ns_entry.hits += 1
-    ns_entry.last_used = now
-    a_entry.hits += 1
-    a_entry.last_used = now
-    cstats.hits += 2
-    # -- the CDE transaction, flattened (see _fused_cde_transaction) -------
-    stats = plan.stats
-    rng = plan.network_rng
-    rng_random = rng.random
-    pget = plan.platform_getrandbits
-    msg_id = pget(17)
-    while msg_id >= 65536:
-        msg_id = pget(17)
-    eget = plan.egress_getrandbits
-    n_egress = plan.n_egress
-    egress_bits = plan.egress_bits
-    egress_index = eget(egress_bits)
-    while egress_index >= n_egress:
-        egress_index = eget(egress_bits)
-    egress_ip = plan.egress_ips[egress_index]
-    log = plan.query_log
-    e_src = plan.egress_src[egress_index]
-    s_dst = plan.server_dst
-    assert e_src is not None and s_dst is not None
-    s_ln, s_med, s_sig, s_rate = s_dst
-    e_ln, e_med, e_sig, e_rate = e_src
-    delivered = False
-    t_attempts = 0
-    while t_attempts <= _DEFAULT_RETRIES:
-        t_attempts += 1
-        if t_attempts > 1:
-            stats.retransmissions += 1
-        t_sent = clock._now
-        stats.messages_sent += 1
-        # Request leg: server-destination draw first, then egress source.
-        if s_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency = s_med * exp(z * s_sig)
-        else:
-            t_latency = s_med
-        t_lost = s_rate > 0.0 and rng_random() < s_rate
-        if e_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency += e_med * exp(z * e_sig)
-        else:
-            t_latency += e_med
-        if not t_lost:
-            t_lost = e_rate > 0.0 and rng_random() < e_rate
-        if t_lost:
-            stats.requests_lost += 1
-            clock._now = t_sent + _DEFAULT_TIMEOUT
-            continue
-        clock._now = t_sent + t_latency
-        # The server logs every attempt whose request leg survived.
-        timestamp = clock._now
-        entry = _obj_new(LogEntry)
-        _obj_setattr(entry, "__dict__",
-                     {"timestamp": timestamp, "src_ip": egress_ip,
-                      "qname": qname, "qtype": qtype, "msg_id": msg_id})
-        if plan.log_indexed:
-            position = len(log._entries)
-            timestamps = log._timestamps
-            if timestamps and timestamp < timestamps[-1]:
-                log._monotonic = False
-            timestamps.append(timestamp)
-            bucket = log._by_qname.get(qname)
-            if bucket is None:
-                log._by_qname[qname] = bucket = []
-            bucket.append(position)
-            own = log._by_suffix.get(qname)
-            if own is None:
-                log._by_suffix[qname] = own = []
-            own.append(position)
-            for tail in plan.suffix_tails:
-                tail.append(position)
-        log._entries.append(entry)
-        # Response leg.
-        if s_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency = s_med * exp(z * s_sig)
-        else:
-            t_latency = s_med
-        t_lost = s_rate > 0.0 and rng_random() < s_rate
-        if e_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency += e_med * exp(z * e_sig)
-        else:
-            t_latency += e_med
-        if not t_lost:
-            t_lost = e_rate > 0.0 and rng_random() < e_rate
-        if t_lost:
-            stats.responses_lost += 1
-            deadline = t_sent + _DEFAULT_TIMEOUT
-            if deadline > clock._now:
-                clock._now = deadline
-            continue
-        clock._now += t_latency
-        stats.messages_delivered += 1
-        delivered = True
-        break
-    if not delivered:
-        # The real path raises ResolutionError here and resolve_for_client
-        # swallows it; the observable effect is just these two counters.
-        stats.timeouts += 1
-        pstats.failures += 1
-        return
-    pstats.upstream_queries += 1
-    # -- answer put (see _fused_cde_transaction) ---------------------------
-    ingested_at = clock._now
-    _, wset, _, wrecords, ttl0 = template
-    clamped = cache.clamp_ttl(ttl0)
-    if clamped >= 0:
-        records = []
-        for record in wrecords:
-            owned = _obj_new(ResourceRecord)
-            _obj_setattr(owned, "__dict__",
-                         {"name": qname, "rtype": record.rtype,
-                          "ttl": clamped, "rdata": record.rdata,
-                          "rclass": record.rclass})
-            records.append(owned)
-        stored = _obj_new(RRSet)
-        stored.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "rclass": wset.rclass, "records": records}
-        centry = _obj_new(CacheEntry)
-        centry.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "kind": _POSITIVE, "stored_at": ingested_at,
-                           "expires_at": ingested_at + clamped,
-                           "rrset": stored, "soa": None, "hits": 0,
-                           "last_used": ingested_at}
-        cache._insert(centry, ingested_at)
-        return
-    stored = RRSet(qname, wset.rtype, wset.rclass)
-    stored.records = [
-        ResourceRecord(qname, record.rtype, clamped, record.rdata,
-                       record.rclass)
-        for record in wrecords
-    ]
-    cache._insert(CacheEntry(
-        name=qname,
-        rtype=wset.rtype,
-        kind=EntryKind.POSITIVE,
-        stored_at=ingested_at,
-        expires_at=ingested_at + clamped,
-        rrset=stored,
-    ), ingested_at)
-
-
 # cdelint: replica-of=repro.resolver.platform.ResolutionPlatform.resolve_for_client
 def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
     """``resolve_for_client`` minus response assembly (nobody reads it)."""
@@ -1133,13 +639,8 @@ def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
     pstats.queries += 1
     platform._sequence += 1
     sel_kind = plan.sel_kind
-    if sel_kind == 2:       # uniform-random: inline randbelow on its rng
-        getrandbits = plan.sel_state
-        n_caches = plan.n_caches
-        sel_bits = plan.sel_bits
-        cache_index = getrandbits(sel_bits)
-        while cache_index >= n_caches:
-            cache_index = getrandbits(sel_bits)
+    if sel_kind == 2:       # uniform-random: one randrange on its rng
+        cache_index = plan.sel_state(plan.n_caches)
     elif sel_kind == 4:     # source-ip-hash: the prober is the only client
         cache_index = plan.sel_state
     elif sel_kind == 1:     # round-robin: arrival counter
@@ -1312,18 +813,8 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
     assert chain is not None and chain.levels is not None
     for (server, zone_name, dst_params, dst_profile, ingest, level_log,
          tails) in chain.levels:
-        if _INLINE_RANDBELOW:
-            getrandbits = plan.platform_getrandbits
-            msg_id = getrandbits(17)
-            while msg_id >= 65536:
-                msg_id = getrandbits(17)
-            getrandbits = plan.egress_getrandbits
-            egress_index = getrandbits(plan.egress_bits)
-            while egress_index >= plan.n_egress:
-                egress_index = getrandbits(plan.egress_bits)
-        else:
-            msg_id = plan.platform_randrange(1 << 16)
-            egress_index = plan.egress_randrange(plan.n_egress)
+        msg_id = plan.platform_randrange(1 << 16)
+        egress_index = plan.egress_randrange(plan.n_egress)
         egress_ip = plan.egress_ips[egress_index]
         src_params = plan.egress_src[egress_index]
         delivered = False
@@ -1447,20 +938,8 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
     # _try_servers: shuffling the one-candidate list draws nothing; the
     # query-id draw and the per-send egress draw happen in this order, once
     # per send call (retransmissions reuse both).
-    if _INLINE_RANDBELOW:
-        getrandbits = plan.platform_getrandbits
-        msg_id = getrandbits(17)
-        while msg_id >= 65536:
-            msg_id = getrandbits(17)
-        getrandbits = plan.egress_getrandbits
-        n_egress = plan.n_egress
-        egress_bits = plan.egress_bits
-        egress_index = getrandbits(egress_bits)
-        while egress_index >= n_egress:
-            egress_index = getrandbits(egress_bits)
-    else:
-        msg_id = plan.platform_randrange(1 << 16)
-        egress_index = plan.egress_randrange(plan.n_egress)
+    msg_id = plan.platform_randrange(1 << 16)
+    egress_index = plan.egress_randrange(plan.n_egress)
     egress_ip = plan.egress_ips[egress_index]
 
     clock = plan.clock
@@ -1590,7 +1069,7 @@ def _fused_upstream_slow(plan: _FastPlan, cache: DnsCache, cache_index: int,
 
     This is the path every (platform, cache) pair takes while cold; on
     success it memoizes the corridor entries and the wildcard template so
-    subsequent probes take :func:`_fused_upstream_fast`.
+    subsequent probes take the warm branch of :func:`_fused_upstream`.
     """
     clock = plan.clock
     now = clock._now
@@ -1717,7 +1196,7 @@ def _fused_upstream_slow(plan: _FastPlan, cache: DnsCache, cache_index: int,
     for rrset in group_rrsets(lookup.records):
         cache.put_rrset(rrset, ingested_at)
 
-    # -- memoize the warm corridor for _fused_upstream_fast ----------------
+    # -- memoize the warm corridor for _fused_upstream -----------------------
     # Eligible only in the canonical shape: the walk stopped at the base
     # domain (the first ancestor every fresh corridor name shares), on a
     # single-record NS set resolved through exactly one address entry.
@@ -1769,16 +1248,10 @@ def _measure_direct_turns(lane: "ShardLane", hosted: HostedPlatform
     plan = _FastPlan.build(world, hosted, lane.cold_chains)
     qtype = RRType.A
 
-    # The fully flattened probe only when every inline replica verified
-    # and the plan's links take the gated fast models.
-    fused = (_fused_probe_flat
-             if plan is not None and plan.fast_links and _FULL_FAST
-             else _fused_probe)
-
     def probe_delivered(probe_name: DnsName) -> bool:
         if plan is not None:
             lane.fused_probes += 1
-            return fused(plan, probe_name, qtype)
+            return _fused_probe(plan, probe_name, qtype)
         lane.fallback_probes += 1
         return prober.probe(ingress_ip, probe_name, qtype).delivered
 
@@ -1977,24 +1450,16 @@ class PipelinedEngine:
     def __init__(self, tasks: list[ShardTask]):
         self.lanes = [ShardLane(task) for task in tasks]
 
-    def run(self) -> list[ShardOutcome]:
-        active = deque(self.lanes)
-        while active:
-            lane = active.popleft()
-            if lane.step():
-                active.append(lane)
-        return [lane.outcome() for lane in self.lanes]
-
     def stream(self) -> Generator[tuple[int, PlatformMeasurement],
                                   None, None]:
         """Yield ``(position, row)`` in global spec order as rows finish.
 
         Lanes are independent worlds, so interleaving (and pausing) turns
         cannot change any lane's rows — the stream is byte-identical to
-        :meth:`run` reassembled in spec order, while holding at most
-        :data:`STREAM_BUFFER_ROWS` undelivered rows per lane.  After
-        exhaustion every lane is finished and :meth:`outcomes` reports the
-        same perf numbers the in-memory path would.
+        :func:`~repro.study.parallel.run_shard` on every task reassembled
+        in spec order, while holding at most :data:`STREAM_BUFFER_ROWS`
+        undelivered rows per lane.  After exhaustion every lane is
+        finished and :meth:`outcomes` reports each lane's perf sample.
         """
         lanes = self.lanes
         buffers: list[deque[PlatformMeasurement]] = [

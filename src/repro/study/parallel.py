@@ -172,11 +172,6 @@ def _decode_task(payload: bytes) -> ShardTask:
     )
 
 
-def _run_shard_payload(payload: bytes) -> ShardOutcome:
-    """Pool entry point: rebuild the :class:`ShardTask`, then run it."""
-    return run_shard(_decode_task(payload))
-
-
 def _run_shard_spill(handoff: tuple[bytes, str]) -> ShardOutcome:
     """Pool entry point for streaming: rows spill to disk as they finish.
 
@@ -231,54 +226,6 @@ def resolve_workers(workers: WorkerSpec, n_tasks: int, n_platforms: int,
         if effective < 2:
             return 0
     return effective
-
-
-def run_parallel_measurement(specs: list[PlatformSpec],
-                             base_seed: int = 0,
-                             workers: WorkerSpec = 0,
-                             n_shards: Optional[int] = None,
-                             config: Optional[WorldConfig] = None,
-                             budget: Optional[MeasurementBudget] = None,
-                             force_pool: bool = False
-                             ) -> ParallelMeasurement:
-    """Measure a population across sharded worlds; merge in spec order.
-
-    ``workers`` is an explicit process count or ``"auto"``;
-    :func:`resolve_workers` decides whether a real pool can beat the
-    in-process pipelined engine and sizes it.  Every setting produces
-    identical rows for a given ``(specs, base_seed, n_shards)`` — the
-    recorded ``perf.workers`` is the resolved pool size actually used.
-    """
-    tasks = plan_shards(specs, base_seed=base_seed, n_shards=n_shards,
-                        config=config, budget=budget)
-    pool_size = resolve_workers(workers, len(tasks), len(specs),
-                                force_pool=force_pool)
-    started = time.perf_counter()
-    if pool_size == 0 or len(tasks) <= 1:
-        from .engine import PipelinedEngine   # lazy: engine imports us
-
-        outcomes = PipelinedEngine(tasks).run()
-    else:
-        payloads = [_encode_task(task) for task in tasks]
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(_run_shard_payload, payloads))
-
-    merged: list[Optional[PlatformMeasurement]] = [None] * len(specs)
-    perf = PerfCounters(workers=pool_size)
-    for outcome in sorted(outcomes, key=lambda o: o.shard_index):
-        for position, row in zip(outcome.positions, outcome.rows):
-            merged[position] = row
-        perf.add_shard(outcome.perf)
-    perf.wall_seconds = time.perf_counter() - started
-    missing = [position for position, row in enumerate(merged) if row is None]
-    if missing:
-        raise RuntimeError(f"shard plan lost specs at positions {missing}")
-    return ParallelMeasurement(
-        rows=[row for row in merged if row is not None],
-        perf=perf,
-        n_shards=len(tasks),
-        base_seed=base_seed,
-    )
 
 
 @dataclass
@@ -344,9 +291,9 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
                                 ) -> StreamingMeasurement:
     """Measure a population as a bounded-memory stream of rows.
 
-    Same plan, same seeds, same rows as :func:`run_parallel_measurement` —
-    the stream is row-for-row identical to the in-memory result at every
-    worker count — but no layer ever holds the whole census:
+    Rows arrive in spec order and are identical at every worker count for
+    a given ``(specs, base_seed, n_shards)``, yet no layer ever holds the
+    whole census:
 
     * in-process, :meth:`PipelinedEngine.stream` delivers rows at the
       stripe frontier with a constant per-lane buffer bound;
@@ -370,7 +317,9 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
 
             engine = PipelinedEngine(tasks)
             expected = 0
-            for position, row in engine.stream():
+            # ``engine.stream`` is the lane scheduler (itself a shard
+            # entry), not a world RNG stream.
+            for position, row in engine.stream():  # cdelint: disable=CDE011
                 if position != expected:
                     raise RuntimeError(
                         f"stream out of order: got position {position}, "
@@ -402,14 +351,28 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
     return result
 
 
-def measure_population_parallel(specs: list[PlatformSpec],
-                                base_seed: int = 0,
-                                workers: WorkerSpec = 0,
-                                n_shards: Optional[int] = None,
-                                config: Optional[WorldConfig] = None,
-                                budget: Optional[MeasurementBudget] = None
-                                ) -> list[PlatformMeasurement]:
-    """Rows-only convenience wrapper over :func:`run_parallel_measurement`."""
-    return run_parallel_measurement(
+def run_parallel_measurement(specs: list[PlatformSpec],
+                             base_seed: int = 0,
+                             workers: WorkerSpec = 0,
+                             n_shards: Optional[int] = None,
+                             config: Optional[WorldConfig] = None,
+                             budget: Optional[MeasurementBudget] = None,
+                             force_pool: bool = False
+                             ) -> ParallelMeasurement:
+    """:func:`stream_parallel_measurement`, collected into one list.
+
+    ``workers`` is an explicit process count or ``"auto"``;
+    :func:`resolve_workers` decides whether a real pool can beat the
+    in-process pipelined engine and sizes it.  Every setting produces
+    identical rows for a given ``(specs, base_seed, n_shards)`` — the
+    recorded ``perf.workers`` is the resolved pool size actually used.
+    """
+    streamed = stream_parallel_measurement(
         specs, base_seed=base_seed, workers=workers, n_shards=n_shards,
-        config=config, budget=budget).rows
+        config=config, budget=budget, force_pool=force_pool)
+    rows = list(streamed)
+    assert streamed.perf is not None
+    return ParallelMeasurement(rows=rows, perf=streamed.perf,
+                               n_shards=streamed.n_shards,
+                               base_seed=base_seed)
+

@@ -299,7 +299,7 @@ def test_pyproject_config_roundtrip(tmp_path):
     assert config.shard_entries == (
         "repro/study/parallel.py::run_shard",
         "repro/study/engine.py::ShardLane.run_to_completion",
-        "repro/study/engine.py::PipelinedEngine.run",
+        "repro/study/engine.py::PipelinedEngine.stream",
         "repro/study/measurement.py::measure_population",
         "repro/study/measurement.py::measure_direct",
         "repro/study/measurement.py::measure_via_smtp",

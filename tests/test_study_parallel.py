@@ -10,6 +10,8 @@ produce identical rows.
 
 from __future__ import annotations
 
+from dataclasses import astuple, replace
+
 import pytest
 
 from repro.study import (
@@ -17,16 +19,18 @@ from repro.study import (
     MIN_PLATFORMS_PER_WORKER,
     MeasurementBudget,
     POPULATIONS,
+    SELECTOR_MIX,
+    ShardLane,
     WorldConfig,
     generate_population,
-    measure_population_parallel,
     plan_shards,
     resolve_workers,
     run_parallel_measurement,
     run_shard,
     shard_seed,
 )
-from repro.study.parallel import _encode_task, _run_shard_payload
+from repro.study import engine
+from repro.study.parallel import _decode_task, _encode_task
 from repro.net.rng import derive_seed
 
 FAST_BUDGET = MeasurementBudget(confidence=0.9, max_enumeration_queries=96,
@@ -65,12 +69,12 @@ class TestDeterminismAcrossWorkers:
 
     def test_repeat_runs_are_identical(self):
         specs = _specs("open-resolvers")
-        first = measure_population_parallel(specs, base_seed=SEED,
-                                            n_shards=N_SHARDS,
-                                            budget=FAST_BUDGET)
-        second = measure_population_parallel(specs, base_seed=SEED,
-                                             n_shards=N_SHARDS,
-                                             budget=FAST_BUDGET)
+        first = run_parallel_measurement(specs, base_seed=SEED,
+                                         n_shards=N_SHARDS,
+                                         budget=FAST_BUDGET).rows
+        second = run_parallel_measurement(specs, base_seed=SEED,
+                                          n_shards=N_SHARDS,
+                                          budget=FAST_BUDGET).rows
         assert _row_key(first) == _row_key(second)
 
     def test_different_seed_reseeds_every_shard_world(self):
@@ -85,24 +89,24 @@ class TestDeterminismAcrossWorkers:
         # (the tight caps here make the measured values themselves exact,
         # hence seed-independent — determinism of the *draws* is covered by
         # the shard-seed assertions above).
-        rows = measure_population_parallel(specs, base_seed=SEED + 1,
-                                           n_shards=N_SHARDS,
-                                           budget=FAST_BUDGET)
+        rows = run_parallel_measurement(specs, base_seed=SEED + 1,
+                                        n_shards=N_SHARDS,
+                                        budget=FAST_BUDGET).rows
         assert [row.spec.name for row in rows] == [s.name for s in specs]
 
 
 class TestMerging:
     def test_rows_come_back_in_spec_order(self):
         specs = _specs("open-resolvers")
-        rows = measure_population_parallel(specs, base_seed=SEED,
-                                           n_shards=N_SHARDS,
-                                           budget=FAST_BUDGET)
+        rows = run_parallel_measurement(specs, base_seed=SEED,
+                                        n_shards=N_SHARDS,
+                                        budget=FAST_BUDGET).rows
         assert [row.spec.name for row in rows] == [s.name for s in specs]
 
     def test_single_spec_population(self):
         specs = _specs("open-resolvers")[:1]
-        rows = measure_population_parallel(specs, base_seed=SEED,
-                                           budget=FAST_BUDGET)
+        rows = run_parallel_measurement(specs, base_seed=SEED,
+                                        budget=FAST_BUDGET).rows
         assert len(rows) == 1
         assert rows[0].spec.name == specs[0].name
 
@@ -158,15 +162,13 @@ class TestCompactHandoff:
     """The pool payload: pre-serialized primitive tuples, nothing heavier."""
 
     def test_payload_round_trips_to_identical_rows(self):
+        # A shard's rows depend on nothing but its task, so a task that
+        # survives the handoff unchanged measures to identical rows.
         specs = _specs("open-resolvers")
         tasks = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS,
                             budget=FAST_BUDGET)
         for task in tasks:
-            direct = run_shard(task)
-            rebuilt = _run_shard_payload(_encode_task(task))
-            assert rebuilt.shard_index == direct.shard_index
-            assert rebuilt.positions == direct.positions
-            assert _row_key(rebuilt.rows) == _row_key(direct.rows)
+            assert _decode_task(_encode_task(task)) == task
 
     def test_payload_is_compact(self):
         import pickle
@@ -257,3 +259,46 @@ class TestPerfCounters:
         payload = json.loads(json.dumps(result.perf.to_dict()))
         assert payload["platforms"] == 4
         assert len(payload["shards"]) == 2
+
+
+def _shard_state(task):
+    """Run one shard and snapshot everything the fused corridor mutates."""
+    lane = ShardLane(task)
+    outcome = lane.run_to_completion()
+    world = lane.world
+    caches = [astuple(cache.stats) for hosted in world.platforms
+              for cache in hosted.platform.caches]
+    state = {
+        "rows": outcome.rows,
+        "stats": outcome.perf.stats,
+        "caches": caches,
+        "log": len(world.cde.server.query_log),
+        "clock": world.network.clock.now,
+        "queries_sent": world.prober.queries_sent,
+    }
+    return state, outcome.perf
+
+
+class TestFusedCorridorEquivalence:
+    """The fused corridor reproduces the structured path's full state.
+
+    One open-resolver shard runs as is, then again with the fast plan
+    disabled so every probe takes the structured resolver.  Rows, network
+    stats, every cache's counters, the CDE query log and the clock must
+    all agree, for each stock cache selector.
+    """
+
+    @pytest.mark.parametrize("selector", [name for name, _ in SELECTOR_MIX])
+    def test_fused_matches_structured(self, selector, monkeypatch):
+        specs = [replace(spec, selector_name=selector)
+                 for spec in _specs("open-resolvers")]
+        task = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS,
+                           budget=FAST_BUDGET)[0]
+        fused, fused_perf = _shard_state(task)
+        monkeypatch.setattr(engine._FastPlan, "build",
+                            staticmethod(lambda *args, **kwargs: None))
+        structured, structured_perf = _shard_state(task)
+        assert fused_perf.fused_probes > 0
+        assert fused_perf.fallback_probes == 0
+        assert structured_perf.fused_probes == 0
+        assert fused == structured
