@@ -10,7 +10,9 @@ the dirty-subgraph cost sitting between the two.
 The committed artifact records wall seconds (best of ``REPEATS``) and
 the engine's own re-analysis counters, and the pytest gate asserts the
 advertised invariant: warm is at least ``MIN_SPEEDUP``× faster than
-cold.
+cold.  ``lint_source_lines`` records the size of the linter itself (all
+lines of ``src/repro/lint/**/*.py``), so rule deletions show up in the
+artifact next to the time they save.
 
 Usage::
 
@@ -55,6 +57,12 @@ def _count_replica_pairs(config: LintConfig, src: Path) -> int:
             _parse(path, rel, path.read_text(encoding="utf-8")))
     bindings, _errors = collect_bindings(summaries, config)
     return sum(1 for binding in bindings if binding.checked)
+
+
+def _lint_source_lines(src: Path) -> int:
+    """Total line count of the linter's own sources."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((src / "repro" / "lint").rglob("*.py")))
 
 
 def _time_run(config: LintConfig, src: Path,
@@ -109,6 +117,7 @@ def run_benchmark() -> dict:
             }
 
         counters["replica_pairs_checked"] = _count_replica_pairs(config, tree)
+        counters["lint_source_lines"] = _lint_source_lines(tree)
 
     cold_s, warm_s, edit_s = min(cold_times), min(warm_times), min(edit_times)
     return {

@@ -47,7 +47,6 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-# cdelint: component=cache
 class DnsCache:
     """One cache instance inside a resolution platform."""
 

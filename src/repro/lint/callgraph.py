@@ -31,8 +31,6 @@ from .dataflow import (FlowEdge, HandlerSummary, TaintSite, analyze_function)
 from .effects import EffectSite, extract_effect_sites
 from .module import ModuleInfo
 from .taint import MUTABLE_CONSTRUCTORS, matches_any
-from .topo import AddrSite, CacheSite, ComponentDecl, TtlSite, \
-    extract_topo_facts
 
 #: Bump when the summary layout changes (invalidates cached summaries).
 #: Version 2 added the dataflow layer: per-function flow edges, taint
@@ -42,12 +40,14 @@ from .topo import AddrSite, CacheSite, ComponentDecl, TtlSite, \
 #: replica-of bindings, plus per-module dataclass field orders.
 #: Version 4 added the cdebound layer: container-growth sites, hot-loop
 #: allocation sites, write-open sites, and the generator/rename flags.
-#: Version 5 added the cdetopo layer: address-provenance sites, cache
+#: Version 5 added the topology layer: address-provenance sites, cache
 #: ownership/passing sites, TTL-arithmetic sites, and per-module
 #: component declarations.
 #: Version 6 dropped the cdesync RNG-idiom folds (``rb``/``gauss`` trace
 #: nodes) along with the inline RNG replicas they verified.
-SUMMARY_VERSION = 6
+#: Version 7 dropped the topology layer again; runtime tests pin what it
+#: checked.
+SUMMARY_VERSION = 7
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -119,10 +119,6 @@ class FunctionSummary:
     opens: tuple[OpenSite, ...] = ()      # write-mode open() sites (CDE019)
     is_generator: bool = False            # frame suspends across the stream
     renames: bool = False                 # calls os.replace/os.rename
-    # -- cdetopo layer (summary version 5) ----------------------------------
-    addr: tuple[AddrSite, ...] = ()       # address-provenance sites (CDE020)
-    caches: tuple[CacheSite, ...] = ()    # cache own/pass sites (CDE021)
-    ttls: tuple[TtlSite, ...] = ()        # TTL-arithmetic sites (CDE022)
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -145,9 +141,6 @@ class FunctionSummary:
             "opens": [site.to_json() for site in self.opens],
             "gen": self.is_generator,
             "renames": self.renames,
-            "addr": [site.to_json() for site in self.addr],
-            "caches": [site.to_json() for site in self.caches],
-            "ttls": [site.to_json() for site in self.ttls],
         }
 
     @classmethod
@@ -183,12 +176,6 @@ class FunctionSummary:
                         for s in raw.get("opens", ())),  # type: ignore[union-attr]
             is_generator=bool(raw.get("gen", False)),
             renames=bool(raw.get("renames", False)),
-            addr=tuple(AddrSite.from_json(s)
-                       for s in raw.get("addr", ())),  # type: ignore[union-attr]
-            caches=tuple(CacheSite.from_json(s)
-                         for s in raw.get("caches", ())),  # type: ignore[union-attr]
-            ttls=tuple(TtlSite.from_json(s)
-                       for s in raw.get("ttls", ())),  # type: ignore[union-attr]
         )
 
 
@@ -206,9 +193,6 @@ class ModuleSummary:
     mutable_globals: dict[str, int] = field(default_factory=dict)
     #: ordered field names of @dataclass classes (cdesync / CDE016)
     dataclass_fields: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: every class with its component declaration (cdetopo / CDE020-022);
-    #: unmarked classes appear with an empty role
-    components: dict[str, ComponentDecl] = field(default_factory=dict)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         from .module import SUPPRESS_ALL
@@ -238,10 +222,6 @@ class ModuleSummary:
                 name: list(fields)
                 for name, fields in sorted(self.dataclass_fields.items())
             },
-            "components": {
-                name: decl.to_json()
-                for name, decl in sorted(self.components.items())
-            },
         }
 
     @classmethod
@@ -268,11 +248,6 @@ class ModuleSummary:
                 str(name): tuple(str(f) for f in fields)
                 for name, fields in raw.get(  # type: ignore[union-attr]
                     "dataclass_fields", {}).items()
-            },
-            components={
-                str(name): ComponentDecl.from_json(decl)
-                for name, decl in raw.get(  # type: ignore[union-attr]
-                    "components", {}).items()
             },
         )
 
@@ -412,7 +387,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
     import json as _json
 
     from .astutil import annotation_is_set
-    from .topo import module_components, parse_component_markers
     from .trace import (extract_trace, has_effect_nodes,
                         module_dataclass_fields, module_object_aliases,
                         parse_replica_markers, replica_marker_for)
@@ -422,13 +396,11 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
     global_names = frozenset(mutable_globals)
     objnew, objsetattr = module_object_aliases(module.tree)
     markers = parse_replica_markers(module.source)
-    component_markers = parse_component_markers(module.source)
     functions: list[FunctionSummary] = []
     for func, qualname, _is_method in iter_function_defs(module.tree):
         flow = analyze_function(func, aliases)
         trace = extract_trace(func, objnew, objsetattr)
         facts = extract_bounded_facts(func, aliases)
-        topo = extract_topo_facts(func)
         functions.append(FunctionSummary(
             qualname=qualname,
             name=func.name,
@@ -455,9 +427,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             opens=facts.opens,
             is_generator=facts.is_generator,
             renames=facts.renames,
-            addr=topo.addr,
-            caches=topo.caches,
-            ttls=topo.ttls,
         ))
     functions.sort(key=lambda f: (f.line, f.col, f.qualname))
     return ModuleSummary(
@@ -473,7 +442,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
         file_suppressions=tuple(sorted(module.file_suppressions)),
         mutable_globals=mutable_globals,
         dataclass_fields=module_dataclass_fields(module.tree),
-        components=module_components(module.tree, component_markers),
     )
 
 

@@ -89,14 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain", metavar="RULE",
         help="print a rule's rationale and fix guidance, then exit "
-             "(accepts CDE020, a bare 20, or a name like "
-             "address-provenance)",
-    )
-    parser.add_argument(
-        "--topology", action="store_true",
-        help="print the proven component topology (cdetopo) instead of "
-             "findings: roles, ingress/egress reachability, forwards, "
-             "logs and cache ownership per component",
+             "(accepts CDE017, a bare 17, or a name like "
+             "unbounded-accumulation)",
     )
     parser.add_argument(
         "--changed", action="store_true",
@@ -145,7 +139,7 @@ def _run_fix(args: argparse.Namespace, config: LintConfig,
 
 
 def _resolve_rule(token: str) -> Optional[str]:
-    """``CDE020``, a bare ``20`` or a ``rule-name`` slug -> registry id."""
+    """``CDE017``, a bare ``17`` or a ``rule-name`` slug -> registry id."""
     registry = all_rules()
     wanted = token.strip().upper()
     if wanted in registry:
@@ -178,35 +172,6 @@ def _explain(rule_id: str) -> int:
         print()
         for line in doc.splitlines():
             print(f"  {line}" if line else "")
-    return EXIT_CLEAN
-
-
-def _run_topology(args: argparse.Namespace, fmt: str) -> int:
-    """``--topology``: print the proven component graph and exit.
-
-    Reuses stage 1 of the engine (content-hashed summaries), so a warm
-    cache serves the report without re-parsing a single file; the
-    document is sorted throughout and therefore byte-deterministic.
-    """
-    from .module import ModuleParseError
-    from .topo import build_topology, collect_summaries, render_topology_human
-
-    try:
-        config = _load_config(args)
-        cache_dir: Optional[Path] = None
-        if not args.no_cache:
-            cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-        summaries = collect_summaries(args.paths, config,
-                                      cache_dir=cache_dir)
-    except (ModuleParseError, ValueError, OSError) as exc:
-        print(f"cdelint: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    doc = build_topology(summaries, config)
-    if fmt == "json":
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print(render_topology_human(doc))
     return EXIT_CLEAN
 
 
@@ -279,12 +244,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CLEAN
     if args.explain:
         return _explain(args.explain)
-    if args.topology:
-        if fmt == "sarif":
-            print("cdelint: error: --topology has no SARIF form "
-                  "(use --json or the default table)", file=sys.stderr)
-            return EXIT_USAGE
-        return _run_topology(args, fmt)
 
     try:
         config = _load_config(args)

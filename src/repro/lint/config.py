@@ -293,20 +293,6 @@ class LintConfig:
         "repro/study/export.py::CensusWriter.write_dict",
         "repro/study/export.py::CensusWriter.close",
     )
-    #: cdetopo (CDE020/CDE021) component scope: the resolver/server/cache
-    #: plane where every class must declare what it does to the
-    #: addresses and caches the CDE counting depends on.
-    component_paths: tuple[str, ...] = (
-        "repro/resolver/", "repro/server/", "repro/cache/",
-    )
-    #: cdetopo declarations for classes that cannot carry an in-source
-    #: ``# cdelint: component=`` marker (``ClassName=role(attrs)``); an
-    #: in-source marker always wins.
-    components: tuple[str, ...] = ()
-    #: cdetopo (CDE022) TTL-soundness scope: where stored TTLs must only
-    #: ever count down (honest caches never extend a TTL; the deliberate
-    #: misbehaviour model carries a justified suppression).
-    ttl_paths: tuple[str, ...] = ("repro/cache/", "repro/resolver/")
     #: Rule IDs disabled globally.
     disable: tuple[str, ...] = ()
 

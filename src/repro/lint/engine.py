@@ -38,7 +38,7 @@ from .effects import EffectAnalysis
 from .findings import Finding, LintReport
 from .module import (SUPPRESS_ALL, ModuleInfo, ModuleParseError,
                      SuppressionKey, parse_suppressions, suppression_hits)
-from .registry import ProjectContext, Rule, instantiate
+from .registry import ProjectContext, Rule, all_rules, instantiate
 from .sync import sync_digest
 
 #: Rule id of the engine-implemented unused-suppression audit.
@@ -285,10 +285,13 @@ def _audit_suppressions(entries: list[_FileEntry],
 
     Only tokens naming a rule that actually ran are audited (plus
     ``all``, which every rule can hit) — a ``--select CDE001`` run must
-    not condemn a CDE007 waiver it never exercised.
+    not condemn a CDE007 waiver it never exercised.  A token naming no
+    registered rule can never waive anything, so it is reported on every
+    audited run.
     """
     audited = {rule_id for rule_id in rules_run
                if rule_id != UNUSED_SUPPRESSION_RULE}
+    known = set(all_rules())
     out: list[Finding] = []
     for entry in entries:
         summary = entry.summary
@@ -296,18 +299,20 @@ def _audit_suppressions(entries: list[_FileEntry],
 
         def _unused(kind: str, line: int, token: str,
                     at_line: int) -> Optional[Finding]:
-            if token != SUPPRESS_ALL and token not in audited:
+            if token in known and token not in audited:
                 return None
             if (kind, line, token) in used:
                 return None
             if summary.is_suppressed(UNUSED_SUPPRESSION_RULE, at_line):
                 return None
             scope = "line" if kind == "line" else "file-wide"
+            reason = (f"no {token} finding was waived here this run"
+                      if token in known or token == SUPPRESS_ALL
+                      else "no such rule is registered")
             return Finding(
                 path=entry.rel, line=at_line, col=0,
                 rule_id=UNUSED_SUPPRESSION_RULE,
-                message=(f"unused {scope} suppression of {token}: no "
-                         f"{token} finding was waived here this run"),
+                message=f"unused {scope} suppression of {token}: {reason}",
             )
         for line, tokens in sorted(summary.line_suppressions.items()):
             for token in sorted(tokens):

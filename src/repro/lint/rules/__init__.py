@@ -6,9 +6,7 @@ determinism invariant it protects (full rationale: docs/STATIC_ANALYSIS.md).
 """
 
 from . import (  # noqa: F401
-    address_provenance,
     bounded_accumulation,
-    cache_identity,
     capture_safety,
     checkpoint_durability,
     effects_contract,
@@ -23,7 +21,6 @@ from . import (  # noqa: F401
     rng_streams,
     shard_purity,
     timing_taint,
-    ttl_soundness,
     unused_suppression,
     wallclock,
     world_provenance,

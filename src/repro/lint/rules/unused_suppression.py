@@ -12,7 +12,9 @@ exists so the rule has an identity — registry metadata, ``--explain``
 text, SARIF descriptor, config disable.  It is **off by default**:
 enable with ``--warn-unused-suppressions`` (or ``--select CDE014``).
 Only rules that actually ran are audited, so a ``--select CDE003`` run
-never flags a CDE001 suppression as unused.
+never flags a CDE001 suppression as unused.  A token naming no
+registered rule (say, a rule since deleted) is flagged on every audited
+run: nothing can ever fire for it.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from ..net.network import LinkProfile, Network
 from ..net.rng import fallback_rng
 
 
-# cdelint: component=forwarder(rewrites-source, owns-cache)
 class ForwardingResolver:
     """Relays client queries to an upstream recursive platform."""
 
@@ -100,7 +99,6 @@ class ForwardingResolver:
             self.cache.put_nodata(qname, qtype, now)
 
 
-# cdelint: component=transparent-forwarder(spoofs-source)
 class TransparentForwarder:
     """A relay that forwards queries upstream *as the client*.
 
@@ -137,7 +135,7 @@ class TransparentForwarder:
         self.forwarded += 1
         try:
             # The client's own source address goes upstream unchanged —
-            # the spoof-preserve this component's contract declares.
+            # the spoof-preserving send that defines this component.
             transaction = network.query(src_ip, self.upstream_ip, message)
         except QueryTimeout:
             return message.make_response(RCode.SERVFAIL)

@@ -42,7 +42,6 @@ class Misbehavior:
                     self.rewrite_ttl_to is not None)
 
 
-# cdelint: component=forwarder(rewrites-source)
 class MisbehavingResolver:
     """A resolver front that tampers with its upstream's answers."""
 
@@ -90,10 +89,9 @@ class MisbehavingResolver:
             tampered = True
         if self.misbehavior.rewrite_ttl_to is not None and response.answers:
             # Deliberate §VI misbehaviour: this resolver exists to serve
-            # the wrong TTL, which is exactly what CDE022 forbids honest
-            # cache code to do.
+            # the wrong TTL, which honest cache code never does.
             response.answers = [
-                record.with_ttl(self.misbehavior.rewrite_ttl_to)  # cdelint: disable=CDE022
+                record.with_ttl(self.misbehavior.rewrite_ttl_to)
                 for record in response.answers
             ]
             tampered = True

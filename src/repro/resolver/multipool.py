@@ -52,7 +52,6 @@ class MultiPoolConfig:
             seen.update(pool.ingress_ips)
 
 
-# cdelint: component=anycast-ingress
 class MultiPoolPlatform:
     """Several cache pools behind one logical service."""
 

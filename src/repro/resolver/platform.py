@@ -101,7 +101,6 @@ class PlatformStats:
     prefetches: int = 0
 
 
-# cdelint: component=recursive(rewrites-source, owns-cache, shared-cache)
 class ResolutionPlatform:
     """A multi-cache recursive resolution service."""
 
@@ -387,7 +386,6 @@ class ResolutionPlatform:
                 f"egress={len(self.config.egress_ips)})")
 
 
-# cdelint: component=nat-pool
 class _EgressStub:
     """Placeholder endpoint registered at egress-only addresses.
 

@@ -42,7 +42,6 @@ class StubAnswer:
                 if record.rtype in (RRType.A, RRType.AAAA)]
 
 
-# cdelint: component=client(rewrites-source, owns-cache)
 class StubResolver:
     """An OS stub resolver bound to one host IP, using a recursive platform.
 

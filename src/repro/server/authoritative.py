@@ -30,7 +30,6 @@ from ..net.network import Network
 from .querylog import LogEntry, QueryLog
 
 
-# cdelint: component=authoritative(logs-source)
 class AuthoritativeServer:
     """A nameserver authoritative for a set of zones."""
 

@@ -289,6 +289,23 @@ def test_file_level_unused_suppression(tmp_path):
     assert "file-wide" in report.findings[0].message
 
 
+def test_unknown_rule_suppression_flagged(tmp_path):
+    # A waiver naming no registered rule can never waive anything, so the
+    # audit reports it even when the run selects a single rule.
+    target = tmp_path / "stale.py"
+    target.write_text(
+        "def f():\n"
+        "    return 1  # cdelint: disable=CDE099\n"
+    )
+    for kwargs in ({"warn_unused_suppressions": True},
+                   {"select": ["CDE001", "CDE014"]}):
+        report = run_lint([target], **kwargs)
+        assert [(f.rule_id, f.line) for f in report.findings] == \
+            [("CDE014", 2)]
+        assert "CDE099" in report.findings[0].message
+        assert "no such rule" in report.findings[0].message
+
+
 def test_audit_identical_cold_and_warm(tmp_path):
     target = _write_suppressed(tmp_path)
     cache = tmp_path / "cache"

@@ -6,6 +6,7 @@ from repro.cache import DnsCache
 from repro.dns import RCode, ResolutionError, RRType, name
 from repro.net import BernoulliLoss, ConstantLatency, LinkProfile
 from repro.resolver import ForwardingResolver
+from repro.resolver.forwarder import TransparentForwarder
 from repro.study import SinkEndpoint
 
 
@@ -154,3 +155,57 @@ class TestForwardingResolver:
     def test_requires_upstreams(self, world):
         with pytest.raises(ValueError):
             ForwardingResolver("fw", "10.200.0.9", [], world.network)
+
+
+class _RecordingUpstream:
+    """An upstream endpoint that logs each query's source and answers."""
+
+    def __init__(self):
+        self.sources: list[str] = []
+
+    def handle_message(self, message, src_ip, network):
+        self.sources.append(src_ip)
+        return message.make_response()
+
+
+class TestTransparentForwarder:
+    def make_forwarder(self, world, upstream_ip):
+        forwarder = TransparentForwarder(
+            name="tfwd", listen_ip="10.201.0.1", upstream_ip=upstream_ip,
+            network=world.network)
+        forwarder.attach(LinkProfile(latency=ConstantLatency(0.002),
+                                     loss=BernoulliLoss(0.0)))
+        return forwarder
+
+    def ask(self, world, forwarder, qname):
+        from repro.dns import DnsMessage
+
+        query = DnsMessage.make_query(name(qname), RRType.A)
+        return world.network.query(world.prober_ip, forwarder.listen_ip,
+                                   query).response
+
+    def test_upstream_sees_the_client_source(self, world):
+        upstream = _RecordingUpstream()
+        world.network.register("10.201.0.2", upstream)
+        forwarder = self.make_forwarder(world, "10.201.0.2")
+        response = self.ask(world, forwarder, "tfwd-src.cache.example")
+        assert response.rcode == RCode.NOERROR
+        # The client's address reaches the upstream, never the forwarder's.
+        assert upstream.sources == [world.prober_ip]
+        assert forwarder.forwarded == 1
+
+    def test_relays_every_query_without_caching(self, world, platform):
+        forwarder = self.make_forwarder(world,
+                                        platform.platform.ingress_ips[0])
+        self.ask(world, forwarder, "tfwd-relay.cache.example")
+        upstream_before = platform.platform.stats.queries
+        response = self.ask(world, forwarder, "tfwd-relay.cache.example")
+        assert response.rcode == RCode.NOERROR and response.answers
+        assert platform.platform.stats.queries == upstream_before + 1
+        assert forwarder.forwarded == 2
+
+    def test_dead_upstream_answers_servfail(self, world):
+        world.network.register("10.201.0.3", SinkEndpoint())
+        forwarder = self.make_forwarder(world, "10.201.0.3")
+        response = self.ask(world, forwarder, "tfwd-dead.cache.example")
+        assert response.rcode == RCode.SERVFAIL

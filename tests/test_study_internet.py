@@ -1,9 +1,12 @@
 """Tests for the SimulatedInternet fixture itself."""
 
+import hashlib
+
 import pytest
 
 from repro.dns import DnsMessage, RCode, RRType
 from repro.study import (
+    PopulationGenerator,
     SimulatedInternet,
     WorldConfig,
     build_world,
@@ -125,3 +128,53 @@ class TestScanIntegrityIntegration:
                                          integrity_check=True)
         assert result.flagged >= 1
         assert result.open_count + result.flagged == 6
+
+
+class TestTransparentForwarderPopulation:
+    #: sha256 of the first 200 seed-11 open-resolver draws, over the
+    #: fields that predate the forwarder knob.
+    SEED11_SPECS_SHA256 = (
+        "6e499bcd2ee7192e4569c75464566a9f6a8dc07ae7bd867f8d2b9f3fa629328d")
+
+    def test_zero_share_draws_the_default_specs(self):
+        default = PopulationGenerator("open-resolvers", seed=11)
+        zero = PopulationGenerator("open-resolvers", seed=11,
+                                   forwarder_share=0.0)
+        specs = zero.draw_many(200)
+        assert specs == default.draw_many(200)
+        assert not any(spec.transparent_forwarder for spec in specs)
+        # Share 0 draws no extra randomness, so the sequence is the one
+        # every seed produced before the knob existed.
+        fields = [(s.operator, s.country, s.n_ingress, s.n_caches,
+                   s.n_egress, s.selector_name) for s in specs]
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == \
+            self.SEED11_SPECS_SHA256
+
+    def test_full_share_fronts_every_platform(self):
+        world = SimulatedInternet(WorldConfig(seed=11, lossy_platforms=False))
+        specs = PopulationGenerator("open-resolvers", seed=11, max_ingress=2,
+                                    max_caches=2, max_egress=2,
+                                    forwarder_share=1.0).draw_many(12)
+        hosted = [world.add_platform_from_spec(spec) for spec in specs]
+        for entry in hosted:
+            assert entry.forwarder is not None
+            assert entry.forwarder.upstream_ip == \
+                entry.platform.ingress_ips[0]
+            assert entry.forwarder.listen_ip not in \
+                entry.platform.ingress_ips
+            assert world.network.is_registered(entry.forwarder.listen_ip)
+
+    @pytest.mark.parametrize("population", ["open-resolvers",
+                                            "email-servers", "ad-network"])
+    def test_no_cache_is_shared_between_platforms(self, population):
+        world = SimulatedInternet(WorldConfig(seed=5, lossy_platforms=False))
+        specs = PopulationGenerator(population, seed=5, max_ingress=3,
+                                    max_caches=4, max_egress=3,
+                                    forwarder_share=0.5).draw_many(40)
+        owner: dict[int, str] = {}
+        for spec in specs:
+            hosted = world.add_platform_from_spec(spec)
+            assert hosted.platform.caches
+            for cache in hosted.platform.caches:
+                assert owner.setdefault(id(cache), spec.name) == spec.name
+        assert len(owner) == sum(spec.n_caches for spec in specs)
