@@ -15,6 +15,12 @@ Wildcards (``*`` leftmost label) are supported with RFC 1034 §4.3.3
 semantics: a wildcard synthesises records for any name that would otherwise
 not exist, unless a more specific name (or delegation) intervenes.
 
+A zone keeps an owner index and a reference-counted index of every
+owner's ancestors next to its RRset store, so a lookup costs
+O(name depth) dictionary probes however many names the zone holds: the
+CDE zone gains a CNAME chain per measured platform, and a census looks
+names up in it all the way through.
+
 :func:`parse_zone_text` parses the zone-fragment syntax the paper uses
 (``$ORIGIN``, ``name IN TYPE rdata`` lines) so that the examples can be
 written exactly like Section IV-B2 of the paper.
@@ -81,40 +87,66 @@ class Zone:
         if isinstance(origin, str):
             origin = make_name(origin)
         self.origin = origin
+        # ``_rrsets`` is the one store of RRSet objects (the engine's fused
+        # corridor reads it directly); add_record/remove_rrset keep the two
+        # indexes below in step with it.
         self._rrsets: dict[tuple[DnsName, RRType], RRSet] = {}
-        self._names: set[DnsName] = set()
+        #: owner -> {rtype: RRSet}, both levels in insertion order.
+        self._owners: dict[DnsName, dict[RRType, RRSet]] = {}
+        #: Every owner and every ancestor of an owner, up to the root, with
+        #: the number of owners at or below it: the names that exist,
+        #: empty non-terminals included.
+        self._extant: dict[DnsName, int] = {}
 
     # -- mutation -------------------------------------------------------------
 
     def add_record(self, record: ResourceRecord) -> None:
-        if not record.name.is_subdomain_of(self.origin):
-            raise ZoneError(f"{record.name} is out of zone {self.origin}")
-        key = (record.name, record.rtype)
-        existing_cname = self._rrsets.get((record.name, RRType.CNAME))
-        if record.rtype == RRType.CNAME:
-            owns_others = any(
-                rname == record.name and rtype != RRType.CNAME
-                for (rname, rtype) in self._rrsets
-            )
-            if owns_others:
-                raise ZoneError(f"CNAME at {record.name} conflicts with other data")
-        elif existing_cname is not None:
-            raise ZoneError(f"{record.name} already holds a CNAME")
-        rrset = self._rrsets.get(key)
-        if rrset is None:
-            rrset = RRSet(record.name, record.rtype)
-            self._rrsets[key] = rrset
+        owner, rtype = record.name, record.rtype
+        if not owner.is_subdomain_of(self.origin):
+            raise ZoneError(f"{owner} is out of zone {self.origin}")
+        owned = self._owners.get(owner)
+        if owned is not None:
+            if rtype == RRType.CNAME:
+                if any(held != RRType.CNAME for held in owned):
+                    raise ZoneError(f"CNAME at {owner} conflicts with other data")
+            elif RRType.CNAME in owned:
+                raise ZoneError(f"{owner} already holds a CNAME")
+            rrset = owned.get(rtype)
+            if rrset is not None:
+                rrset.add(record)
+                return
+        rrset = RRSet(owner, rtype)
         rrset.add(record)
-        self._names.add(record.name)
+        self._rrsets[(owner, rtype)] = rrset
+        if owned is None:
+            owned = self._owners[owner] = {}
+            extant = self._extant
+            for ancestor in owner.ancestors(include_self=True):
+                extant[ancestor] = extant.get(ancestor, 0) + 1
+        owned[rtype] = rrset
 
     def add_records(self, records: Iterable[ResourceRecord]) -> None:
         for record in records:
             self.add_record(record)
 
     def remove_rrset(self, owner: DnsName, rtype: RRType) -> None:
-        self._rrsets.pop((owner, rtype), None)
-        if not any(rname == owner for (rname, _) in self._rrsets):
-            self._names.discard(owner)
+        """Drop the ``(owner, rtype)`` RRset; a no-op when it is absent.
+        Removing an owner's last RRset retires the owner, and any empty
+        non-terminal above it that no other owner still holds up."""
+        if self._rrsets.pop((owner, rtype), None) is None:
+            return
+        owned = self._owners[owner]
+        del owned[rtype]
+        if owned:
+            return
+        del self._owners[owner]
+        extant = self._extant
+        for ancestor in owner.ancestors(include_self=True):
+            count = extant[ancestor] - 1
+            if count:
+                extant[ancestor] = count
+            else:
+                del extant[ancestor]
 
     # -- inspection -------------------------------------------------------------
 
@@ -125,14 +157,14 @@ class Zone:
         return list(self._rrsets.values())
 
     def names(self) -> tuple[DnsName, ...]:
-        """Owner names of the zone, deterministically sorted.
+        """Owner names of the zone (names holding at least one RRset, in
+        the spelling first added), in canonical DNS order.
 
-        Returned sorted (not as the raw internal ``set``) so that callers
-        iterating it — exporters, figure builders, enumeration sweeps —
-        can never leak set iteration order into measurement output
-        (cdelint CDE003).
+        A sorted snapshot rather than a view of the owner index, so callers
+        — exporters, figure builders, enumeration sweeps — see an order
+        that depends on the names alone, never on insertion history.
         """
-        return tuple(sorted(self._names))
+        return tuple(sorted(self._owners))
 
     @property
     def soa(self) -> Optional[ResourceRecord]:
@@ -142,10 +174,10 @@ class Zone:
         return None
 
     def name_exists(self, qname: DnsName) -> bool:
-        """Whether the name exists, including as an empty non-terminal."""
-        if qname in self._names:
-            return True
-        return any(existing.is_strict_subdomain_of(qname) for existing in self._names)
+        """Whether the name exists: it owns an RRset or has a descendant
+        that does (an empty non-terminal).  Ancestors above the apex count
+        too.  One dictionary lookup, whatever the size of the zone."""
+        return qname in self._extant
 
     def __contains__(self, qname: DnsName) -> bool:
         return self.name_exists(qname)
@@ -204,12 +236,10 @@ class Zone:
         if cname and qtype not in (RRType.CNAME, RRType.ANY):
             return LookupResult(LookupKind.CNAME, rrset=_reown(cname, synthesize_as))
         if qtype == RRType.ANY:
+            owned = self._owners.get(owner)
             records = [
-                record
-                for (rname, _), rrset in self._rrsets.items()
-                if rname == owner
-                for record in rrset
-            ]
+                record for rrset in owned.values() for record in rrset
+            ] if owned else []
             if records:
                 rrset = RRSet(synthesize_as or owner, records[0].rtype)
                 rrset.records = [
@@ -231,7 +261,7 @@ class Zone:
         current = qname.parent
         while current.is_subdomain_of(self.origin):
             wildcard = current.prepend(WILDCARD_LABEL)
-            if any(rname == wildcard for (rname, _) in self._rrsets):
+            if wildcard in self._owners:
                 result = self._lookup_at(wildcard, qtype, synthesize_as=qname)
                 if result and result.kind in (LookupKind.ANSWER, LookupKind.CNAME):
                     return result
