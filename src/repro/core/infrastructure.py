@@ -69,12 +69,10 @@ class CdeInfrastructure:
                  answer_ip: str = "203.0.113.100",
                  sub_ns_ip_base: str = "203.0.113.",
                  profile: Optional[LinkProfile] = None,
-                 indexed_logs: bool = True,
-                 log_window: Optional[int] = None):
+                 indexed_logs: bool = True):
         self.network = network
         self.hierarchy = hierarchy
         self.indexed_logs = indexed_logs
-        self.log_window = log_window
         self.base_domain = make_name(base_domain)
         self.ns_ip = ns_ip
         self.answer_ip = answer_ip
@@ -115,8 +113,7 @@ class CdeInfrastructure:
         # responses) so each cache must resolve the target itself.
         self.server = AuthoritativeServer(f"cde-ns-{base_domain}",
                                           minimal_responses=True,
-                                          indexed_log=indexed_logs,
-                                          log_window=log_window)
+                                          indexed_log=indexed_logs)
         self.server.add_zone(self.zone)
         network.register(ns_ip, self.server, profile)
         hierarchy.delegate(self.base_domain, self.ns_name, ns_ip)
@@ -231,8 +228,7 @@ class CdeInfrastructure:
             names.append(leaf)
 
         server = AuthoritativeServer(f"cde-ns-{origin}",
-                                     indexed_log=self.indexed_logs,
-                                     log_window=self.log_window)
+                                     indexed_log=self.indexed_logs)
         server.add_zone(sub_zone)
         self.network.register(ns_ip, server, self._profile)
 

@@ -39,35 +39,41 @@ def path_matches_any(path: str, patterns: tuple[str, ...]) -> bool:
 #: defaults stay usable under ``--no-config`` — the mutation tests lint
 #: pristine copies of ``src/repro`` that must come up clean.  The seven
 #: world packages get one structural carve-out each: their state lives
-#: inside a shard's :class:`SimulatedInternet`, which keeps every platform
-#: of its stripe until the shard finishes.  That state is bounded per
-#: shard and grows with shard size, not with one platform; retiring
-#: measured platforms is ROADMAP item 2.  Everything on the
+#: inside a shard's :class:`SimulatedInternet`, where a lane holds one
+#: in-flight platform and retires it once its row is out
+#: (``SimulatedInternet.retire_platform``); ``tests/test_census_memory.py``
+#: pins that bound at run time.  Everything on the
 #: census-lifetime path (study/, export) is itemised per receiver with its
 #: explicit bound.
 _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
     # -- world-scoped packages: lifetime is one shard's world ---------------
     "repro/dns/*=shard-world-scoped (messages, zones) plus per-name "
-    "intern/encode memos capped at 8192 entries; the world keeps every "
-    "spec in its stripe, so this grows with shard size (ROADMAP item 2)",
-    "repro/cache/*=shard-world-scoped; TTL+capacity eviction bounds each "
-    "cache, but the world keeps every platform's caches until the shard "
-    "ends (ROADMAP item 2)",
-    "repro/resolver/*=shard-world-scoped (pools, frontend table, selector "
-    "load, per-query visited/trace bounded by chain depth); grows with "
-    "shard size (ROADMAP item 2)",
+    "intern/encode memos capped at 8192 entries; a lane holds one "
+    "in-flight platform and retires it after its row, so only the "
+    "CNAME chains the indirect techniques add to the CDE zone stay for "
+    "the shard (one chain per indirect platform)",
+    "repro/cache/*=shard-world-scoped; TTL+capacity eviction bounds "
+    "each cache, and a cache lives only as long as its platform: one "
+    "in-flight platform per lane, retired after its row",
+    "repro/resolver/*=shard-world-scoped (pools, frontend table, "
+    "selector load, per-query visited/trace bounded by chain depth), "
+    "owned by the lane's one in-flight platform and dropped when it "
+    "retires after its row",
     "repro/server/*=shard-world-scoped (zones, RRL token buckets, "
-    "hierarchy maps, the per-world QueryLog — windowed logs additionally "
-    "ring-evict); grows with shard size (ROADMAP item 2)",
-    "repro/client/*=shard-world-scoped (browser host cache, SMTP attempt "
-    "records); held until the shard ends, grows with shard size "
-    "(ROADMAP item 2)",
-    "repro/net/*=shard-world-scoped (endpoints, RNG stream memo, RRL "
-    "window pruned per decision, per-shard perf counters); grows with "
-    "shard size (ROADMAP item 2)",
-    "repro/core/*=shard-world-scoped (monitor history, prober URL list, "
-    "hierarchy registry); held until the shard ends, grows with shard "
-    "size (ROADMAP item 2)",
+    "hierarchy maps, the per-world QueryLogs, which forget their "
+    "entries when a platform retires after its row): one in-flight "
+    "platform's arrivals per lane",
+    "repro/client/*=shard-world-scoped (browser host cache, SMTP "
+    "attempt records), made per platform and dropped when it retires "
+    "after its row: one in-flight platform per lane",
+    "repro/net/*=shard-world-scoped (endpoints and RNG stream memo, "
+    "whose per-platform entries are released when a platform retires "
+    "after its row; RRL window pruned per decision; per-shard perf "
+    "counters): one in-flight platform per lane",
+    "repro/core/*=shard-world-scoped (monitor history, prober URL "
+    "list, hierarchy registry); nothing per platform on the census path, "
+    "which holds one in-flight platform per lane and retires it after "
+    "its row",
     # -- the linter itself --------------------------------------------------
     "repro/lint/*=never on a measurement path; reachable only through "
     "simple-name call binding (same precedent as shard-state-allow)",
@@ -97,8 +103,8 @@ _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
     "manifest chunk index: one entry per chunk_size rows, the resume "
     "contract itself",
     "repro/study/internet.py::SimulatedInternet.add_platform_from_spec::"
-    "self.platforms=shard-world platform registry: one entry per spec in "
-    "the shard's stripe, held until the shard ends (ROADMAP item 2)",
+    "self.platforms=shard-world platform registry: the lane's one "
+    "in-flight platform, removed by retire_platform after its row",
     "repro/study/parallel.py::_merge_spilled::taken=fixed-size per-shard "
     "merge cursor (len == n_shards)",
     "repro/study/stats.py::*=fixed-size accumulators: integer counters "

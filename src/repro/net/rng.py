@@ -43,6 +43,15 @@ class RngFactory:
             self._streams[name] = rng
         return rng
 
+    def release(self, names: list[str]) -> None:
+        """Drop the named streams; a later ``stream(name)`` starts afresh.
+
+        Only for streams whose consumer is gone for good (a retired
+        platform's), so no name is ever drawn again after its release.
+        """
+        for name in names:
+            self._streams.pop(name, None)
+
     def fork(self, name: str) -> "RngFactory":
         """A child factory whose root seed derives from this one."""
         return RngFactory(derive_seed(self.root_seed, f"fork:{name}"))

@@ -16,6 +16,7 @@ from ..dns.record import a_record, ns_record, soa_record
 from ..dns.zone import Zone
 from ..net.network import LinkProfile, Network
 from .authoritative import AuthoritativeServer
+from .querylog import QueryLog
 
 #: Delegation NS/glue TTLs: long, like real TLD zones.
 DELEGATION_TTL = 172_800
@@ -44,6 +45,11 @@ class RootHierarchy:
     @property
     def root_hints(self) -> list[str]:
         return [self.root_ip]
+
+    def query_logs(self) -> list[QueryLog]:
+        """The root server's log, then each TLD server's."""
+        return [self.root_server.query_log,
+                *(server.query_log for server in self._tld_servers.values())]
 
     # -- TLD management ----------------------------------------------------
 

@@ -25,17 +25,12 @@ the log detects it and falls back to linear ``since`` filtering.
 ``QueryLog(indexed=False)`` preserves the original full-scan behaviour;
 the scaling benches use it to measure exactly what the indexes buy.
 
-**Ring-buffer mode** (``QueryLog(window=N)``) bounds memory for streaming
-censuses: only the most recent ``N`` entries stay live.  Positions are
-*global* (they keep counting past evictions), the backing lists compact
-amortized-O(1), and index buckets prune their dead prefixes lazily, so the
-full indexed query API — ``count``/``count_under``/``sources``/
-``entries_for_any`` — answers identically to an unbounded log as long as
-every entry a query touches is still inside the window.  The census
-pipeline sizes the window above any single platform's probe horizon, which
-is all the measurement techniques ever look back across (probe names are
-unique and queries carry ``since`` cutoffs).  ``window=None`` (the
-default) never evicts and is byte-identical to the seed behaviour.
+A streamed census measures one platform after another in the same
+world, so :meth:`forget` drops every entry once a platform's row is out
+while :attr:`total_recorded` keeps counting arrivals.  Probe names are
+unique and every technique reads the log with a ``since`` cutoff taken
+during its own platform's measurement, so no read ever needs an entry
+recorded before the last forget.
 """
 
 from __future__ import annotations
@@ -46,11 +41,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ..dns.name import DnsName
 from ..dns.rrtype import RRType
-
-#: Dead-prefix length beyond which a ring-mode index bucket is compacted.
-#: Compaction pays O(live) to drop O(dead); requiring dead >= live/2 (and a
-#: small floor) makes the cost amortized O(1) per recorded entry.
-_BUCKET_COMPACT_FLOOR = 32
 
 
 @dataclass(frozen=True)
@@ -63,31 +53,27 @@ class LogEntry:
 
 
 class QueryLog:
-    """Append-only log with counting helpers (optionally a ring buffer)."""
+    """Append-only log with counting helpers."""
 
-    def __init__(self, indexed: bool = True,
-                 window: Optional[int] = None) -> None:
-        if window is not None and window < 1:
-            raise ValueError("window must be a positive entry count")
+    def __init__(self, indexed: bool = True) -> None:
         self._entries: list[LogEntry] = []
         self._marks: dict[str, int] = {}
         self.indexed = indexed
-        self.window = window
         #: Entry positions per exact qname / per qname ancestor (incl. self).
-        #: Positions are global: they never shift when the ring compacts.
         self._by_qname: dict[DnsName, list[int]] = {}
         self._by_suffix: dict[DnsName, list[int]] = {}
+        #: Suffix buckets handed out by :meth:`suffix_bucket`, whose holders
+        #: append to them directly; :meth:`forget` empties them in place.
+        self._held: dict[DnsName, list[int]] = {}
         #: Timestamps parallel to ``_entries`` (for ``since`` bisection).
         self._timestamps: list[float] = []
         self._monotonic = True
-        #: Global position of ``_entries[0]`` (>0 once the ring compacted).
-        self._origin = 0
-        #: Global position of the oldest *live* entry (== evicted count).
-        self._head = 0
+        #: Entries dropped by :meth:`forget`.
+        self._forgotten = 0
 
     def record(self, entry: LogEntry) -> None:
         if self.indexed:
-            position = self._origin + len(self._entries)
+            position = len(self._entries)
             if self._timestamps and entry.timestamp < self._timestamps[-1]:
                 self._monotonic = False
             self._timestamps.append(entry.timestamp)
@@ -95,89 +81,78 @@ class QueryLog:
             for ancestor in entry.qname.ancestors(include_self=True):
                 self._by_suffix.setdefault(ancestor, []).append(position)
         self._entries.append(entry)
-        if self.window is not None and len(self) > self.window:
-            self._evict_oldest()
 
-    # -- ring-buffer bookkeeping --------------------------------------------
+    def suffix_bucket(self, suffix: DnsName) -> list[int]:
+        """The live index bucket of ``suffix``.
+
+        For a caller that records entries under ``suffix`` inline (the
+        fused corridor resolves its base domain's ancestor chain once):
+        :meth:`forget` and :meth:`clear` empty the bucket in place, so the
+        caller's list stays the index.
+        """
+        bucket = self._by_suffix.setdefault(suffix, [])
+        self._held[suffix] = bucket
+        return bucket
 
     @property
     def total_recorded(self) -> int:
-        """Entries ever recorded, evicted ones included."""
-        return self._origin + len(self._entries)
+        """Entries ever recorded, forgotten ones included."""
+        return self._forgotten + len(self._entries)
 
-    @property
-    def evicted(self) -> int:
-        """Entries dropped by the ring (always 0 without a window)."""
-        return self._head
+    def forget(self) -> None:
+        """Drop every entry; keep counting them in :attr:`total_recorded`.
 
-    def _evict_oldest(self) -> None:
-        """Advance the live head by one and groom the indexes behind it."""
-        entry = self._entries[self._head - self._origin]
-        self._head += 1
-        if self.indexed:
-            self._prune_bucket(self._by_qname, entry.qname)
-            for ancestor in entry.qname.ancestors(include_self=True):
-                self._prune_bucket(self._by_suffix, ancestor)
-        # Compact the backing lists once the dead prefix has grown to the
-        # window size — O(window) work every `window` evictions.
-        dead = self._head - self._origin
-        if dead >= (self.window or 0):
-            del self._entries[:dead]
-            if self.indexed:
-                del self._timestamps[:dead]
-            self._origin = self._head
+        Afterwards the log answers exactly like a fresh one for entries
+        recorded later: positions restart at 0 and marks are reset.
+        """
+        self._forgotten += len(self._entries)
+        self._entries.clear()
+        self._marks.clear()
+        self._by_qname.clear()
+        self._by_suffix.clear()
+        for suffix, bucket in self._held.items():
+            bucket.clear()
+            self._by_suffix[suffix] = bucket
+        self._timestamps.clear()
+        self._monotonic = True
 
-    def _prune_bucket(self, index: dict[DnsName, list[int]],
-                      key: DnsName) -> None:
-        """Drop a bucket's dead prefix when it dominates the bucket."""
-        bucket = index.get(key)
-        if bucket is None:
-            return
-        dead = bisect_left(bucket, self._head)
-        if dead == len(bucket):
-            del index[key]
-        elif dead >= _BUCKET_COMPACT_FLOOR and dead * 2 >= len(bucket):
-            del bucket[:dead]
+    def clear(self) -> None:
+        """:meth:`forget`, and restart :attr:`total_recorded` at 0."""
+        self.forget()
+        self._forgotten = 0
 
     # -- marks: named positions for incremental reads -----------------------
 
     def mark(self, label: str) -> None:
         """Remember the current end of the log under ``label``."""
-        self._marks[label] = self._origin + len(self._entries)
+        self._marks[label] = len(self._entries)
 
     def since_mark(self, label: str) -> list[LogEntry]:
-        start = max(self._marks.get(label, 0), self._head) - self._origin
-        return self._entries[start:]
+        return self._entries[self._marks.get(label, 0):]
 
     # -- index plumbing -----------------------------------------------------
 
     def _positions_since(self, positions: list[int],
                          since: Optional[float]) -> Iterable[int]:
-        """The live subset of ``positions`` at/after ``since``.
+        """The subset of ``positions`` at/after ``since``.
 
         Positions inside an index bucket are in record order, hence their
         timestamps are nondecreasing while the clock is monotonic — the
-        ``since`` cutoff is a bisection, not a scan.  In ring mode the
-        bucket may still carry a dead prefix; a second bisection skips it.
+        ``since`` cutoff is a bisection, not a scan.
         """
-        start = bisect_left(positions, self._head) if self._head else 0
         if since is None:
-            return positions[start:] if start else positions
+            return positions
         if not self._monotonic:
-            origin = self._origin
-            return (p for p in positions[start:]
-                    if self._entries[p - origin].timestamp >= since)
-        origin = self._origin
-        cut = bisect_left(positions, since, lo=start,
-                          key=lambda p: self._timestamps[p - origin])
+            entries = self._entries
+            return (p for p in positions if entries[p].timestamp >= since)
+        cut = bisect_left(positions, since, key=self._timestamps.__getitem__)
         return positions[cut:]
 
     def _scan_start(self, since: Optional[float]) -> int:
-        """First live list index at/after ``since`` for whole-log walks."""
-        live = self._head - self._origin
+        """First list index at/after ``since`` for whole-log walks."""
         if since is None or not self.indexed or not self._monotonic:
-            return live
-        return max(live, bisect_left(self._timestamps, since))
+            return 0
+        return bisect_left(self._timestamps, since)
 
     def _candidates(self, qname: Optional[DnsName],
                     since: Optional[float]) -> Iterable[LogEntry]:
@@ -186,8 +161,8 @@ class QueryLog:
             positions = self._by_qname.get(qname)
             if positions is None:
                 return ()
-            origin = self._origin
-            return (self._entries[p - origin]
+            entries = self._entries
+            return (entries[p]
                     for p in self._positions_since(positions, since))
         start = self._scan_start(since)
         return self._entries[start:] if start else self._entries
@@ -195,11 +170,10 @@ class QueryLog:
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._origin + len(self._entries) - self._head
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[LogEntry]:
-        live = self._head - self._origin
-        return iter(self._entries[live:] if live else self._entries)
+        return iter(self._entries)
 
     def entries(self, qname: Optional[DnsName] = None,
                 qtype: Optional[RRType] = None,
@@ -232,8 +206,8 @@ class QueryLog:
             positions = self._by_suffix.get(suffix)
             if positions is None:
                 return []
-            origin = self._origin
-            return [self._entries[p - origin]
+            entries = self._entries
+            return [entries[p]
                     for p in self._positions_since(positions, since)]
         return self.entries(
             since=since,
@@ -269,8 +243,8 @@ class QueryLog:
             bucket = index.get(qname)
             if bucket:
                 positions.update(self._positions_since(bucket, since))
-        origin = self._origin
-        return [self._entries[p - origin] for p in sorted(positions)]
+        entries = self._entries
+        return [entries[p] for p in sorted(positions)]
 
     def count(self, qname: Optional[DnsName] = None,
               qtype: Optional[RRType] = None,
@@ -328,13 +302,3 @@ class QueryLog:
         for entry in self.entries(since=since):
             histogram[entry.qtype] = histogram.get(entry.qtype, 0) + 1
         return histogram
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._marks.clear()
-        self._by_qname.clear()
-        self._by_suffix.clear()
-        self._timestamps.clear()
-        self._monotonic = True
-        self._origin = 0
-        self._head = 0

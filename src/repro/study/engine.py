@@ -348,7 +348,7 @@ class _ColdChain:
                 self.a_key = (first.rdata.nsdname, RRType.A)
             level_log = endpoint.query_log
             tails = [
-                level_log._by_suffix.setdefault(ancestor, [])
+                level_log.suffix_bucket(ancestor)
                 for ancestor in self.base_domain.ancestors(include_self=True)
             ] if level_log.indexed else None
             levels.append((endpoint, zone_name, _link_params(profile),
@@ -470,9 +470,10 @@ class _FastPlan:
         log = self.query_log
         self.log_indexed: bool = log.indexed
         # The suffix buckets above any corridor name are those of the base
-        # domain's own ancestor chain — fixed list objects, resolved once.
+        # domain's own ancestor chain — fixed list objects, resolved once
+        # (``QueryLog.forget`` empties them in place).
         self.suffix_tails: list[list[int]] = [
-            log._by_suffix.setdefault(ancestor, [])
+            log.suffix_bucket(ancestor)
             for ancestor in self.base_domain.ancestors(include_self=True)
         ] if log.indexed else []
         # Seeded from the lane-shared cold chain, or lazily by the first
@@ -520,8 +521,6 @@ class _FastPlan:
             return None           # exactly one rng draw per send call
         if not server.online or server.rrl_rate is not None:
             return None
-        if server.query_log.window is not None:
-            return None           # inline record() does not replicate eviction
         ns_ip = world.cde.ns_ip
         if network.endpoint_at(ns_ip) is not server:
             return None
@@ -1337,6 +1336,9 @@ def _measure_direct_turns(lane: "ShardLane", hosted: HostedPlatform
 class ShardLane:
     """One shard advancing through scheduler turns in its own world.
 
+    Each platform leaves the world once its row is out
+    (:meth:`SimulatedInternet.retire_platform`), so a lane holds one
+    in-flight platform and its memory does not grow with its stripe.
     ``run_shard`` drives a single lane to completion; the in-process
     :class:`PipelinedEngine` interleaves many.  Busy time is accumulated
     around lane work only (construction and turns), so merged
@@ -1380,6 +1382,7 @@ class ShardLane:
             if row.technique != "direct":
                 self._indirect_queries += row.queries_used
             self.rows.append(row)
+            self.world.retire_platform(hosted)
             yield
 
     def drain_rows(self) -> list[PlatformMeasurement]:

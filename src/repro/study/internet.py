@@ -36,6 +36,7 @@ from ..resolver.platform import PlatformConfig, ResolutionPlatform
 from ..resolver.selection import make_selector
 from ..resolver.stub import StubResolver
 from ..server.hierarchy import RootHierarchy
+from ..server.querylog import QueryLog
 from .population import PlatformSpec
 
 
@@ -52,6 +53,11 @@ class HostedPlatform:
     #: Present when the spec asked for a transparent-forwarder front; the
     #: forwarder's listen address is the identity a scanner would see.
     forwarder: Optional[TransparentForwarder] = None
+    #: Client hosts (stubs, SMTP servers) the world registered for this
+    #: platform, and every named RNG stream it drew for it:
+    #: :meth:`SimulatedInternet.retire_platform` releases both.
+    client_ips: list[str] = field(default_factory=list)
+    streams: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -74,12 +80,6 @@ class WorldConfig:
     #: ``False`` restores the seed's full-scan log — only the scaling
     #: benches use it, to measure what the indexes buy.
     indexed_logs: bool = True
-    #: Ring-buffer window (entries) for the CDE query logs; ``None`` keeps
-    #: every entry forever (seed behaviour).  Streaming censuses set a
-    #: window comfortably above one platform's probe horizon so the logs
-    #: stop growing with census size without changing any measured row
-    #: (probe names are unique and log reads carry ``since`` cutoffs).
-    log_window: Optional[int] = None
     #: Named fault profile (see :data:`repro.net.faults.FAULT_PROFILES`).
     #: ``"none"`` attaches no injector at all — every code path and RNG
     #: draw stays byte-identical to a fault-free world.  Carried as a
@@ -117,8 +117,7 @@ class SimulatedInternet:
         self.cde = CdeInfrastructure(self.network, self.hierarchy,
                                      base_domain=self.config.base_domain,
                                      profile=infra_profile,
-                                     indexed_logs=self.config.indexed_logs,
-                                     log_window=self.config.log_window)
+                                     indexed_logs=self.config.indexed_logs)
 
         prober_profile = LinkProfile(
             latency=wan_path(self.config.prober_latency,
@@ -217,9 +216,36 @@ class SimulatedInternet:
                 loss=loss,
             ))
         hosted = HostedPlatform(spec=spec, platform=platform,
-                                forwarder=forwarder)
+                                forwarder=forwarder,
+                                streams=[f"platform/{spec.name}"])
         self.platforms.append(hosted)
         return hosted
+
+    def retire_platform(self, hosted: HostedPlatform) -> None:
+        """Detach a measured platform (and its clients) from this world.
+
+        Unregisters its ingress, egress and forwarder addresses and its
+        client hosts, drops it from :attr:`platforms`, releases its RNG
+        streams and forgets every authoritative query log.  Call it once
+        the platform's row is out: probe names are unique and every log
+        read carries a ``since`` cutoff from its own platform's
+        measurement, so later platforms measure exactly as before.
+        """
+        config = hosted.platform.config
+        addresses = [*config.ingress_ips, *config.egress_ips,
+                     *hosted.client_ips]
+        if hosted.forwarder is not None:
+            addresses.append(hosted.forwarder.listen_ip)
+        for ip in addresses:
+            self.network.unregister(ip)
+        self.platforms.remove(hosted)
+        self.rng_factory.release(hosted.streams)
+        for log in self.query_logs():
+            log.forget()
+
+    def query_logs(self) -> list[QueryLog]:
+        """Every authoritative server's log: CDE, sub-zones, root, TLDs."""
+        return [*self.cde.all_query_logs(), *self.hierarchy.query_logs()]
 
     def add_multipool_platform(self, pool_shapes: list[tuple[int, int, int]],
                                name: Optional[str] = None,
@@ -277,6 +303,8 @@ class SimulatedInternet:
         self._counters.clients += 1
         host_ip = self.client_allocator.allocate_pool(1).allocate()
         self.network.register(host_ip, SinkEndpoint(), self._client_profile())
+        hosted.client_ips.append(host_ip)
+        hosted.streams += (f"stub/{host_ip}", f"retry/stub/{host_ip}")
         ips = resolvers or hosted.platform.ingress_ips[:2]
         return StubResolver(
             host_ip, ips, self.network,
@@ -305,11 +333,12 @@ class SimulatedInternet:
                          policy: Optional[SmtpAuthPolicy] = None) -> SmtpServer:
         self._counters.smtp += 1
         stub = self.make_stub(hosted)
-        return SmtpServer(
-            domain=domain, host_ip=stub.host_ip, stub=stub,
-            policy=policy or SmtpAuthPolicy.draw(
-                self.rng_factory.stream(f"smtp-policy/{domain}")),
-        )
+        if policy is None:
+            hosted.streams.append(f"smtp-policy/{domain}")
+            policy = SmtpAuthPolicy.draw(
+                self.rng_factory.stream(f"smtp-policy/{domain}"))
+        return SmtpServer(domain=domain, host_ip=stub.host_ip, stub=stub,
+                          policy=policy)
 
     def make_smtp_prober(self, domain: str, hosted: HostedPlatform,
                          policy: Optional[SmtpAuthPolicy] = None) -> SmtpProber:

@@ -1,25 +1,35 @@
-"""Memory-bound regression: census heap does not scale with census size.
+"""Memory-bound regressions: census memory does not scale with census size.
 
-A 50k-platform simulated census is folded and exported through the full
-streaming pipeline under ``tracemalloc``; its Python-heap peak must stay
-under a fixed budget and must not grow materially past a 10k census's
-peak.  If someone reintroduces a whole-census list anywhere on the row
-path (engine, fold, export), the 50k peak jumps ~5x and both asserts
-fire.
+Two kinds of run, both memory runs only (nothing here is timed):
 
-These run only with ``--runslow`` (the CI full job); tier-1 stays fast.
+* A 50k-platform simulated census is folded and exported through the
+  full streaming pipeline under ``tracemalloc``; its Python-heap peak must
+  stay under a fixed budget and must not grow materially past a 10k
+  census's peak.  If someone reintroduces a whole-census list anywhere on
+  the row path (engine, fold, export), the 50k peak jumps ~5x and both
+  asserts fire.
+* A real streamed census (``run_census(stream=True)``, open resolvers,
+  the fused engine) runs in a fresh process at two sizes eight times
+  apart; the larger one's ``ru_maxrss`` may be at most 1.25x the
+  smaller's.  A shard world that kept its measured platforms, their
+  caches, RNG streams or query-log entries grows by ~80 KiB per platform
+  and fails this by a wide margin.
+
+The 2k/16k slope test and the 50k heap test run only with ``--runslow``;
+the 200/1,600 slope test is tier-1.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from repro.study.census import run_census
-
-pytestmark = pytest.mark.slow
 
 #: Absolute heap budget for the 50k leg.  The pipeline's live set is one
 #: export chunk + the aggregate bundle (a few MiB); the budget is fixed —
@@ -42,6 +52,7 @@ def _traced_peak_mib(count: int, out_root: str) -> float:
     return peak / (1024.0 * 1024.0)
 
 
+@pytest.mark.slow
 def test_50k_census_heap_stays_under_fixed_budget(tmp_path):
     tracemalloc.start()
     try:
@@ -58,3 +69,63 @@ def test_50k_census_heap_stays_under_fixed_budget(tmp_path):
         f"heap peak grew {large / small:.2f}x from 10k to 50k platforms "
         f"({small:.1f} → {large:.1f} MiB); the streaming census must not "
         f"scale with census size")
+
+
+#: How much larger the eight-times-larger real census's peak RSS may be.
+#: The spec list ``run_census`` materializes and the shard plan still grow
+#: with the census (a few MiB at 16k); every shard world stays flat.
+RSS_SLOPE = 1.25
+
+#: The census process.  Started from :data:`_LAUNCHER`, not from the test
+#: process: a child's ``ru_maxrss`` starts at the resident size of the
+#: process that spawned it, and a pytest process is larger than a census.
+_CENSUS = """
+import sys
+from repro.study.census import run_census
+count, out_dir = int(sys.argv[1]), sys.argv[2]
+result = run_census(population="open-resolvers", count=count, seed=0,
+                    stream=True, out_dir=out_dir)
+assert result.aggregates.rows == result.written_rows == count
+"""
+
+_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-c"] + sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+assert status == 0, status
+print(usage.ru_maxrss)
+"""
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _census_maxrss_mib(count: int, out_root: Path) -> float:
+    """``ru_maxrss`` of one real streamed census in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, _CENSUS, str(count),
+         str(out_root / f"census-{count}")],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1]) / 1024.0
+
+
+def _assert_flat(small_count: int, large_count: int, out_root: Path) -> None:
+    small = _census_maxrss_mib(small_count, out_root)
+    large = _census_maxrss_mib(large_count, out_root)
+    assert large <= small * RSS_SLOPE, (
+        f"a real streamed census peaked at {small:.1f} MiB with "
+        f"{small_count:,} platforms and {large:.1f} MiB with "
+        f"{large_count:,} ({large / small:.2f}x > {RSS_SLOPE}x): shard "
+        f"worlds are keeping measured platforms")
+
+
+def test_real_census_rss_is_flat_from_200_to_1600_platforms(tmp_path):
+    _assert_flat(200, 1_600, tmp_path)
+
+
+@pytest.mark.slow
+def test_real_census_rss_is_flat_from_2k_to_16k_platforms(tmp_path):
+    _assert_flat(2_000, 16_000, tmp_path)

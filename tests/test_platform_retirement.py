@@ -1,0 +1,110 @@
+"""A shard lane retires each platform from its world once its row is out.
+
+Retirement is what keeps a streamed census's memory flat: the world
+unregisters the platform's addresses, drops it, releases its RNG streams
+and forgets every authoritative query log.  These tests pin what is left
+behind after a lane finishes, that the arrival counts survive the
+forgetting, and that a later platform's inline log records still reach
+the live index after an earlier platform's retirement.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.study import (
+    MeasurementBudget,
+    ShardLane,
+    SimulatedInternet,
+    WorldConfig,
+    generate_population,
+    plan_shards,
+)
+from repro.study.engine import _FastPlan
+
+FAST_BUDGET = MeasurementBudget(confidence=0.9, max_enumeration_queries=96,
+                                egress_probe_factor=2.0, min_egress_probes=8,
+                                max_egress_probes=32)
+CAPS = dict(max_ingress=3, max_caches=3, max_egress=3)
+SEED = 5
+#: Stream families a world draws per platform (and per client it makes
+#: for one); none may outlive the platform's retirement.
+PLATFORM_STREAMS = ("platform/", "stub/", "retry/stub/", "smtp-policy/")
+
+
+def _task(population: str, count: int = 4):
+    specs = generate_population(population, count, seed=SEED, **CAPS)
+    return plan_shards(specs, base_seed=SEED, n_shards=1,
+                       budget=FAST_BUDGET)[0]
+
+
+def _arrivals(world):
+    return [log.total_recorded for log in world.query_logs()]
+
+
+class TestLaneRetiresEveryPlatform:
+    @pytest.mark.parametrize("population",
+                             ["open-resolvers", "email-servers",
+                              "ad-network"])
+    def test_world_is_back_to_its_empty_shape(self, population,
+                                              monkeypatch):
+        task = _task(population)
+        lane = ShardLane(task)
+        world = lane.world
+        endpoints = set(world.network._endpoints)
+        outcome = lane.run_to_completion()
+        assert len(outcome.rows) == len(task.specs)
+
+        assert world.platforms == []
+        assert set(world.network._endpoints) == endpoints
+        assert not [name for name in world.rng_factory._streams
+                    if name.startswith(PLATFORM_STREAMS)]
+        logs = world.query_logs()
+        assert len(logs) >= 3       # CDE, root, and the base domain's TLD
+        assert all(len(log) == 0 for log in logs)
+
+        # The same lane with retirement switched off saw the same arrivals.
+        monkeypatch.setattr(SimulatedInternet, "retire_platform",
+                            lambda self, hosted: None)
+        kept = ShardLane(task)
+        kept_outcome = kept.run_to_completion()
+        assert kept_outcome.rows == outcome.rows
+        assert len(kept.world.platforms) == len(task.specs)
+        assert [len(log) for log in kept.world.query_logs()] \
+            == _arrivals(world)
+        assert sum(_arrivals(world)) > 0
+
+    def test_later_cold_replays_land_in_the_live_index(self, monkeypatch):
+        """The fused corridor appends to suffix buckets it resolved before
+        earlier platforms retired; those records must stay countable."""
+        task = _task("open-resolvers", count=3)
+        seen = []
+        retire = SimulatedInternet.retire_platform
+
+        def check_and_retire(world, hosted):
+            base = world.cde.base_domain
+            logs = world.query_logs()
+            seen.append([(len(log), log.count_under(base, dedupe=False))
+                         for log in logs if len(log)])
+            retire(world, hosted)
+
+        monkeypatch.setattr(SimulatedInternet, "retire_platform",
+                            check_and_retire)
+        lane = ShardLane(task)
+        outcome = lane.run_to_completion()
+        assert outcome.perf.fused_probes > 0
+        assert outcome.perf.fallback_probes == 0
+        assert len(seen) == 3
+        # Every platform's probes reached the CDE, root and TLD logs, and
+        # every entry there sits under the base domain.
+        for per_log in seen:
+            assert len(per_log) >= 3
+            assert all(entries == under for entries, under in per_log)
+
+
+class TestFusedPlanEligibility:
+    def test_default_world_is_fuse_eligible(self):
+        world = SimulatedInternet(WorldConfig(seed=SEED))
+        spec = generate_population("open-resolvers", 1, seed=SEED, **CAPS)[0]
+        hosted = world.add_platform_from_spec(spec)
+        assert _FastPlan.build(world, hosted) is not None

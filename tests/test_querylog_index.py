@@ -6,7 +6,8 @@ original full-scan implementation.  These tests drive both modes with the
 same randomized entry stream and require identical answers for every
 filter combination — plus regression coverage for ``count`` forwarding
 *all* of ``entries``'s filters (``src_ip`` and ``predicate`` used to be
-silently dropped).
+silently dropped), and for :meth:`QueryLog.forget`: afterwards the log
+answers exactly like a fresh one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dns.name import DnsName, name
 from repro.dns.rrtype import RRType
@@ -190,3 +192,67 @@ class TestLifecycle:
             scan.record(entry)
         assert indexed.since_mark("m") == scan.since_mark("m")
         assert len(indexed.since_mark("m")) == 10
+
+
+class TestForget:
+    @given(before=st.integers(0, 60), after=st.integers(0, 60),
+           seed=st.integers(0, 2**16), indexed=st.booleans(),
+           cut=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_answers_like_a_fresh_log(self, before, after, seed, indexed,
+                                      cut):
+        old = _random_entries(before, seed=seed)
+        offset = old[-1].timestamp if old else 0.0
+        new = [LogEntry(timestamp=entry.timestamp + offset,
+                        src_ip=entry.src_ip, qname=entry.qname,
+                        qtype=entry.qtype, msg_id=entry.msg_id)
+               for entry in _random_entries(after, seed=seed + 1)]
+        log, fresh = QueryLog(indexed=indexed), QueryLog(indexed=indexed)
+        held = log.suffix_bucket(name("example."))
+        fresh.suffix_bucket(name("example."))
+        for entry in old:
+            log.record(entry)
+        log.mark("m")
+        log.forget()
+        for entry in new:
+            log.record(entry)
+            fresh.record(entry)
+
+        assert log.total_recorded == before + after
+        assert len(log) == after and list(log) == new
+        if indexed:
+            assert held is log._by_suffix[name("example.")]
+        since = offset + cut * (new[-1].timestamp - offset) if new else None
+        for qname in [None] + QNAMES:
+            assert log.count(qname=qname, since=since) == \
+                fresh.count(qname=qname, since=since)
+            assert log.count_transactions(qname=qname, since=since) == \
+                fresh.count_transactions(qname=qname, since=since)
+        for suffix in (name("example."), name("a.example."), name(".")):
+            assert log.count_under(suffix, since=since) == \
+                fresh.count_under(suffix, since=since)
+        for under in (False, True):
+            assert log.entries_for_any(QNAMES[:3], since=since,
+                                       under=under) == \
+                fresh.entries_for_any(QNAMES[:3], since=since, under=under)
+        assert log.sources(suffix=name("example."), since=since) == \
+            fresh.sources(suffix=name("example."), since=since)
+        assert log.since_mark("m") == new
+
+    def test_held_bucket_stays_the_index(self):
+        """A caller recording inline into a held bucket after a forget is
+        still seen by suffix reads (the fused corridor does this)."""
+        log = QueryLog()
+        suffix = name("example.")
+        held = log.suffix_bucket(suffix)
+        log.record(LogEntry(timestamp=1.0, src_ip="10.0.0.1",
+                            qname=QNAMES[0], qtype=RRType.A))
+        log.forget()
+        assert held == [] and log.count_under(suffix) == 0
+        log.record(LogEntry(timestamp=2.0, src_ip="10.0.0.2",
+                            qname=QNAMES[1], qtype=RRType.A))
+        assert held == [0]
+        assert log.count_under(suffix) == 1
+        assert log.total_recorded == 2
+        log.clear()
+        assert held == [] and log.total_recorded == 0

@@ -7,10 +7,6 @@ integer-valued, so float addition is exact well past any census size).
 Hypothesis drives each accumulator with random rows and random chunkings
 and requires the three fold shapes to agree, and to match the batch
 helpers they shadow.
-
-The windowed :class:`~repro.server.querylog.QueryLog` gets the same
-treatment: within the retained window, a ring-buffered log must answer
-``count``/``count_under``/``sources`` exactly like an unbounded log.
 """
 
 from __future__ import annotations
@@ -20,9 +16,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import CouponBudgetLedger, queries_for_confidence
-from repro.dns.name import name
-from repro.dns.rrtype import RRType
-from repro.server.querylog import LogEntry, QueryLog
 from repro.study import (
     AccuracyReport,
     BubbleAccumulator,
@@ -229,69 +222,3 @@ class TestFoldOnRealPopulation:
                     partial.add_row(row)
                 merged.merge(partial)
             assert merged.to_dict() == whole.to_dict()
-
-
-# ---------------------------------------------------------------------------
-# windowed QueryLog == full log, within the window
-# ---------------------------------------------------------------------------
-
-QNAMES = [name(text) for text in (
-    "a.example.", "b.example.", "deep.a.example.", "other.test.",
-)]
-SUFFIX = name("example.")
-QTYPES = [RRType.A, RRType.TXT, RRType.MX]
-SOURCES = ["10.0.0.1", "10.0.0.2", "192.0.2.9"]
-
-
-def _entries(count, seed):
-    rng = random.Random(seed)
-    clock = 0.0
-    out = []
-    for _ in range(count):
-        clock += rng.random()
-        out.append(LogEntry(timestamp=clock, src_ip=rng.choice(SOURCES),
-                            qname=rng.choice(QNAMES),
-                            qtype=rng.choice(QTYPES),
-                            msg_id=rng.randrange(3)))
-    return out
-
-
-class TestWindowedLogEquivalence:
-    @given(count=st.integers(0, 120), window=st.integers(1, 60),
-           seed=st.integers(0, 2**16), indexed=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_answers_match_full_log_within_window(self, count, window,
-                                                  seed, indexed):
-        full = QueryLog(indexed=indexed)
-        ring = QueryLog(indexed=indexed, window=window)
-        for entry in _entries(count, seed):
-            full.record(entry)
-            ring.record(entry)
-
-        assert ring.total_recorded == count
-        assert len(ring) == min(count, window)
-        assert ring.evicted == count - len(ring)
-
-        retained = list(full)[-len(ring):] if len(ring) else []
-        assert list(ring) == retained
-
-        # Any cutoff at or after the oldest retained entry queries only
-        # inside the window — the ring must answer exactly like the full
-        # log there, for every filter shape.
-        since = retained[0].timestamp if retained else None
-        for qname in [None] + QNAMES:
-            assert ring.count(qname=qname, since=since) == \
-                full.count(qname=qname, since=since)
-        assert ring.count_under(SUFFIX, since=since) == \
-            full.count_under(SUFFIX, since=since)
-        assert ring.sources(since=since) == full.sources(since=since)
-        assert ring.sources(qname=QNAMES[0], since=since) == \
-            full.sources(qname=QNAMES[0], since=since)
-
-    def test_window_none_is_the_seed_log(self):
-        log = QueryLog()
-        assert log.window is None
-        for entry in _entries(50, seed=9):
-            log.record(entry)
-        assert log.evicted == 0
-        assert len(log) == log.total_recorded == 50

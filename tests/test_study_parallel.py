@@ -21,6 +21,7 @@ from repro.study import (
     POPULATIONS,
     SELECTOR_MIX,
     ShardLane,
+    SimulatedInternet,
     WorldConfig,
     generate_population,
     plan_shards,
@@ -261,18 +262,33 @@ class TestPerfCounters:
         assert len(payload["shards"]) == 2
 
 
-def _shard_state(task):
-    """Run one shard and snapshot everything the fused corridor mutates."""
-    lane = ShardLane(task)
-    outcome = lane.run_to_completion()
+def _shard_state(task, monkeypatch):
+    """Run one shard and snapshot everything the fused corridor mutates.
+
+    Each platform leaves the world once its row is out, so its caches'
+    counters are read as it retires; the CDE log's arrival count survives
+    the forgetting that comes with every retirement.
+    """
+    caches = []
+    retire = SimulatedInternet.retire_platform
+
+    def snapshot_and_retire(world, hosted):
+        caches.extend(astuple(cache.stats)
+                      for cache in hosted.platform.caches)
+        retire(world, hosted)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimulatedInternet, "retire_platform",
+                      snapshot_and_retire)
+        lane = ShardLane(task)
+        outcome = lane.run_to_completion()
     world = lane.world
-    caches = [astuple(cache.stats) for hosted in world.platforms
-              for cache in hosted.platform.caches]
+    assert len(caches) == sum(spec.n_caches for spec in task.specs)
     state = {
         "rows": outcome.rows,
         "stats": outcome.perf.stats,
         "caches": caches,
-        "log": len(world.cde.server.query_log),
+        "log": world.cde.server.query_log.total_recorded,
         "clock": world.network.clock.now,
         "queries_sent": world.prober.queries_sent,
     }
@@ -284,8 +300,8 @@ class TestFusedCorridorEquivalence:
 
     One open-resolver shard runs as is, then again with the fast plan
     disabled so every probe takes the structured resolver.  Rows, network
-    stats, every cache's counters, the CDE query log and the clock must
-    all agree, for each stock cache selector.
+    stats, every cache's counters, the CDE query log's arrival count and
+    the clock must all agree, for each stock cache selector.
     """
 
     @pytest.mark.parametrize("selector", [name for name, _ in SELECTOR_MIX])
@@ -294,11 +310,12 @@ class TestFusedCorridorEquivalence:
                  for spec in _specs("open-resolvers")]
         task = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS,
                            budget=FAST_BUDGET)[0]
-        fused, fused_perf = _shard_state(task)
+        fused, fused_perf = _shard_state(task, monkeypatch)
         monkeypatch.setattr(engine._FastPlan, "build",
                             staticmethod(lambda *args, **kwargs: None))
-        structured, structured_perf = _shard_state(task)
+        structured, structured_perf = _shard_state(task, monkeypatch)
         assert fused_perf.fused_probes > 0
         assert fused_perf.fallback_probes == 0
         assert structured_perf.fused_probes == 0
+        assert fused["log"] > 0
         assert fused == structured
