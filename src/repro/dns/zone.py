@@ -18,8 +18,9 @@ not exist, unless a more specific name (or delegation) intervenes.
 A zone keeps an owner index and a reference-counted index of every
 owner's ancestors next to its RRset store, so a lookup costs
 O(name depth) dictionary probes however many names the zone holds: the
-CDE zone gains a CNAME chain per measured platform, and a census looks
-names up in it all the way through.
+CDE zone gains a CNAME chain per indirectly measured platform, and a
+world that measures many platforms without retiring them keeps every
+chain.
 
 :func:`parse_zone_text` parses the zone-fragment syntax the paper uses
 (``$ORIGIN``, ``name IN TYPE rdata`` lines) so that the examples can be

@@ -49,9 +49,9 @@ _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
     # -- world-scoped packages: lifetime is one shard's world ---------------
     "repro/dns/*=shard-world-scoped (messages, zones) plus per-name "
     "intern/encode memos capped at 8192 entries; a lane holds one "
-    "in-flight platform and retires it after its row, so only the "
-    "CNAME chains the indirect techniques add to the CDE zone stay for "
-    "the shard (one chain per indirect platform)",
+    "in-flight platform and retires it after its row, with the records "
+    "its measurement planted in the CDE zone, so every zone is back to "
+    "its built shape between platforms",
     "repro/cache/*=shard-world-scoped; TTL+capacity eviction bounds "
     "each cache, and a cache lives only as long as its platform: one "
     "in-flight platform per lane, retired after its row",
@@ -71,9 +71,10 @@ _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
     "after its row; RRL window pruned per decision; per-shard perf "
     "counters): one in-flight platform per lane",
     "repro/core/*=shard-world-scoped (monitor history, prober URL "
-    "list, hierarchy registry); nothing per platform on the census path, "
-    "which holds one in-flight platform per lane and retires it after "
-    "its row",
+    "list, hierarchy registry and planted-record list, the last two "
+    "cleared by retire_planted); nothing else per platform on the census "
+    "path, which holds one in-flight platform per lane and retires it "
+    "after its row",
     # -- the linter itself --------------------------------------------------
     "repro/lint/*=never on a measurement path; reachable only through "
     "simple-name call binding (same precedent as shard-state-allow)",
