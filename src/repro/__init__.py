@@ -28,11 +28,21 @@ Subpackages:
   carpet bombing, analysis, TTL checking, resilience, fingerprinting.
 * :mod:`repro.study` — populations, simulated Internet, figure/table
   regeneration.
+
+This package, :mod:`repro.core` and :mod:`repro.study` import a
+submodule only when one of its names is first read (:mod:`repro._lazy`),
+so a process loads only the code it runs.
 """
+
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-from . import cache, client, core, dns, net, resolver, server
+if TYPE_CHECKING:
+    from . import cache, client, core, dns, net, resolver, server
 
-__all__ = ["cache", "client", "core", "dns", "net", "resolver", "server",
-           "__version__"]
+if not TYPE_CHECKING:
+    __all__, __getattr__, __dir__ = lazy_exports(globals())
+    __all__.append("__version__")

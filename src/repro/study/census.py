@@ -53,8 +53,15 @@ class MemoryBudgetExceeded(RuntimeError):
 
 
 def peak_rss_mb() -> float:
-    """This process's peak RSS in MiB (Linux ``ru_maxrss`` is KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """Peak RSS in MiB of the largest process: this one or a reaped child.
+
+    ``RUSAGE_CHILDREN`` reports the largest reaped descendant, so pool
+    workers count once their pool has shut down.  It is a maximum, not a
+    sum (Linux ``ru_maxrss`` is KiB).
+    """
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF,
+                           resource.RUSAGE_CHILDREN)) / 1024.0
 
 
 @dataclass

@@ -36,7 +36,6 @@ import os
 import pickle
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
 from typing import Iterator, Optional, Union
 
@@ -328,6 +327,10 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
                 yield row
             outcomes = engine.outcomes()
         else:
+            # Only the pool branch pays for concurrent.futures and
+            # multiprocessing; an in-process census never loads them.
+            from concurrent.futures import ProcessPoolExecutor
+
             spill = tempfile.TemporaryDirectory(prefix="census-spill-",
                                                 dir=spill_dir)
             try:

@@ -1,6 +1,6 @@
 """Memory-bound regressions: census memory does not scale with census size.
 
-Two kinds of run, both memory runs only (nothing here is timed):
+Three kinds of run, all memory runs only (nothing here is timed):
 
 * A 50k-platform simulated census is folded and exported through the
   full streaming pipeline under ``tracemalloc``; its Python-heap peak must
@@ -19,6 +19,10 @@ Two kinds of run, both memory runs only (nothing here is timed):
   indirect platform plants in the CDE zone grows by ~9 KiB per platform,
   and 1,600 capped email servers then peak ~1.5x as high as 200.  Both
   fail this by a wide margin.
+* A small process reaps a forked child that touched 64 MiB more than
+  itself; ``peak_rss_mb()``, which ``CensusResult.peak_rss_mb`` and the
+  ``--max-rss-mb`` guard read, must cover the child, as it must a pool
+  worker.
 
 The 2k/16k slope tests (all three populations) and the 50k heap test run
 only with ``--runslow``; the 200/1,600 slope tests are tier-1.  Indirect
@@ -122,20 +126,25 @@ POPULATIONS = {
 }
 
 
+def _src_env() -> dict[str, str]:
+    """This environment with the repo's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 class CensusCrashed(Exception):
     """The census process exited non-zero; the message is its stderr."""
 
 
 def _census_maxrss_mib(population: str, count: int, out_root: Path) -> float:
     """``ru_maxrss`` of one real streamed census in a fresh process."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     done = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, _CENSUS, population,
          json.dumps(POPULATIONS[population]), str(count),
          str(out_root / f"{population}-{count}")],
-        env=env, capture_output=True, text=True, timeout=600)
+        env=_src_env(), capture_output=True, text=True, timeout=600)
     if done.returncode != 0:
         raise CensusCrashed(done.stderr)
     return int(done.stdout.split()[-1]) / 1024.0
@@ -175,3 +184,37 @@ SMTP_RETRANSMISSIONS_CRASH = pytest.mark.xfail(
 def test_real_census_rss_is_flat_from_2k_to_16k_platforms(population,
                                                           tmp_path):
     _assert_flat(population, 2_000, 16_000, tmp_path)
+
+
+#: A child that touches this much more than its parent, then is reaped.
+CHILD_EXTRA_MIB = 64
+
+#: Started from :data:`_LAUNCHER` like a census, so its own peak is its
+#: own; its forked child peaks at its resident size plus ``CHILD_EXTRA_MIB``.
+_REAPED_CHILD = f"""
+import os
+from repro.study.census import peak_rss_mb
+before = peak_rss_mb()
+pid = os.fork()
+if pid == 0:
+    block = b"x" * ({CHILD_EXTRA_MIB} << 20)
+    os._exit(0)
+_, status, usage = os.wait4(pid, 0)
+assert status == 0, status
+print(before, usage.ru_maxrss / 1024.0, peak_rss_mb())
+"""
+
+
+def test_peak_rss_covers_a_reaped_child():
+    """``peak_rss_mb()`` (so ``CensusResult.peak_rss_mb`` and the
+    ``--max-rss-mb`` guard) sees a reaped pool worker's peak."""
+    done = subprocess.run([sys.executable, "-c", _LAUNCHER, _REAPED_CHILD],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120, check=True)
+    before, child, after = map(float, done.stdout.split()[:3])
+    # The child peaked far above this process, so reading this process
+    # alone would miss it.
+    assert child > before + CHILD_EXTRA_MIB / 2, (before, child)
+    assert after >= child, (
+        f"peak_rss_mb() read {after:.1f} MiB after reaping a child that "
+        f"peaked at {child:.1f} MiB: it misses reaped processes")

@@ -5,7 +5,9 @@ turning ``stream`` on, changing the worker count, or interrupting and
 resuming may change *scheduling only*: the NDJSON export bytes and the
 aggregate report are identical in every mode.  These tests pin that
 contract end to end — rows through the real engine, folds through
-:class:`CensusAggregates`, bytes through :class:`CensusWriter`.
+:class:`CensusAggregates`, bytes through :class:`CensusWriter`.  Resume
+is pinned after a clean stop between chunks, after the ``max_rss_mb``
+guard fires, and after a crash injected inside a chunk flush.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from repro.study import (
     MeasurementBudget,
+    MemoryBudgetExceeded,
     WorldConfig,
     generate_population,
     run_census,
@@ -25,7 +28,8 @@ from repro.study import (
     stream_parallel_measurement,
     run_parallel_measurement,
 )
-from repro.study.export import CensusWriter
+import repro.study.export as export
+from repro.study.export import MANIFEST_NAME, CensusWriter
 
 FAST_BUDGET = MeasurementBudget(confidence=0.9, max_enumeration_queries=96,
                                 egress_probe_factor=2.0, min_egress_probes=8,
@@ -170,6 +174,135 @@ class TestResume:
         with pytest.raises(ValueError, match="complete"):
             run_census(specs=_specs(), seed=SEED, n_shards=N_SHARDS,
                        budget=FAST_BUDGET, out_dir=out, resume=True)
+
+    def test_memory_guard_stops_after_first_chunk_then_resumes(
+            self, tmp_path):
+        """``max_rss_mb`` raises at the first durable chunk; resume without
+        the guard reproduces the uninterrupted bytes."""
+        expected = _uninterrupted_lines(tmp_path)
+        out = os.path.join(str(tmp_path), "guarded")
+        with pytest.raises(MemoryBudgetExceeded, match="--max-rss-mb"):
+            run_census(specs=_specs(), seed=SEED, n_shards=N_SHARDS,
+                       budget=FAST_BUDGET, stream=True, out_dir=out,
+                       chunk_size=2, max_rss_mb=1.0)
+        manifest = read_census_manifest(out)
+        assert not manifest["complete"]
+        assert [chunk["name"] for chunk in manifest["chunks"]] == \
+            ["chunk-00000.ndjson"]
+
+        resumed = run_census(specs=_specs(), seed=SEED, n_shards=N_SHARDS,
+                             budget=FAST_BUDGET, stream=True, out_dir=out,
+                             chunk_size=2, resume=True)
+        assert resumed.skipped_rows == 2
+        assert list(read_census_lines(out)) == expected
+        _assert_only_recorded_files(out)
+
+
+def _uninterrupted_lines(tmp_path):
+    out = os.path.join(str(tmp_path), "uninterrupted")
+    run_census(specs=_specs(), seed=SEED, n_shards=N_SHARDS,
+               budget=FAST_BUDGET, stream=True, out_dir=out, chunk_size=2)
+    return list(read_census_lines(out))
+
+
+def _assert_only_recorded_files(out):
+    """No ``.part`` file and no chunk the manifest does not record."""
+    recorded = {chunk["name"] for chunk in read_census_manifest(out)["chunks"]}
+    on_disk = set(os.listdir(out)) - {MANIFEST_NAME}
+    assert on_disk == recorded, sorted(on_disk ^ recorded)
+
+
+class _InjectedCrash(Exception):
+    """The failure a test injects into a chunk flush."""
+
+
+#: The chunk whose flush crashes; chunk 0 is already durable by then.
+CRASHED_CHUNK = "chunk-00001.ndjson"
+
+
+class _TornHandle:
+    """A chunk ``.part`` handle that writes half its blob, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+        return False
+
+    def write(self, blob):
+        self._handle.write(blob[:len(blob) // 2])
+        raise _InjectedCrash("torn .part write")
+
+
+class _FailingOs:
+    """``os`` for :mod:`repro.study.export`, whose ``replace`` fails once
+    ``fails(src, dst)`` holds."""
+
+    def __init__(self, fails):
+        self._fails = fails
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, src, dst):
+        if self._fails(src, dst):
+            raise _InjectedCrash(f"crash before {src} -> {dst}")
+        os.replace(src, dst)
+
+
+def _inject(monkeypatch, stage, out):
+    """Make :meth:`CensusWriter._flush_chunk` of ``CRASHED_CHUNK`` fail."""
+    chunk = os.path.join(out, CRASHED_CHUNK)
+    if stage == "during-part-write":
+        def torn_open(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            return _TornHandle(handle) if path == chunk + ".part" else handle
+        monkeypatch.setattr(export, "open", torn_open, raising=False)
+    elif stage == "before-rename":
+        monkeypatch.setattr(export, "os", _FailingOs(
+            lambda src, dst: dst == chunk))
+    else:   # between the chunk rename and the manifest update
+        monkeypatch.setattr(export, "os", _FailingOs(
+            lambda src, dst: dst.endswith(MANIFEST_NAME)
+            and os.path.exists(chunk)))
+
+
+class TestCrashInsideChunkWrite:
+    """A crash inside one chunk flush never leaves a torn chunk behind:
+    resume deletes the stray files and reproduces the bytes."""
+
+    @pytest.mark.parametrize("stage", [
+        "during-part-write", "before-rename", "before-manifest-update"])
+    def test_resume_reproduces_bytes(self, tmp_path, monkeypatch, stage):
+        expected = _uninterrupted_lines(tmp_path)
+        out = os.path.join(str(tmp_path), stage)
+        with monkeypatch.context() as patch:
+            _inject(patch, stage, out)
+            with pytest.raises(_InjectedCrash):
+                run_census(specs=_specs(), seed=SEED, n_shards=N_SHARDS,
+                           budget=FAST_BUDGET, stream=True, out_dir=out,
+                           chunk_size=2)
+        manifest = read_census_manifest(out)
+        assert not manifest["complete"]
+        assert [chunk["name"] for chunk in manifest["chunks"]] == \
+            ["chunk-00000.ndjson"]
+        leftovers = set(os.listdir(out))
+        if stage == "before-manifest-update":
+            assert CRASHED_CHUNK in leftovers
+        else:   # the torn or unrenamed chunk never reached its final name
+            assert CRASHED_CHUNK + ".part" in leftovers
+            assert CRASHED_CHUNK not in leftovers
+
+        resumed = run_census(specs=_specs(), seed=SEED, n_shards=N_SHARDS,
+                             budget=FAST_BUDGET, stream=True, out_dir=out,
+                             chunk_size=2, resume=True)
+        assert resumed.skipped_rows == 2
+        assert list(read_census_lines(out)) == expected
+        _assert_only_recorded_files(out)
 
 
 class TestFiguresOnStreamedCensus:
