@@ -19,17 +19,18 @@ CDE007    effect-contract         no CLOCK/RNG/IO/ENV reachable from roots
 CDE008    layering                imports follow the architecture DAG
 CDE009    rng-stream-hygiene      one stream label, one drawing call site
 CDE010    timing-taint            raw latencies reach sinks only classified
-CDE011    world-provenance        no world RNG/log state on merge paths
 CDE012    capture-safety          shard workers capture no mutable state
 CDE013    error-provenance        probe handlers keep failure history
 CDE014    unused-suppression      waivers must waive something (opt-in)
+CDE015    replica-drift           fused replicas keep their original's trace
+CDE016    layout-drift            built ``__dict__`` order matches the fields
 ========  ======================  ==========================================
 
 CDE004 and CDE007–CDE009 are whole-program rules: they run on a
 project-wide call graph with fixed-point effect signatures
 (:mod:`repro.lint.effects`), cached incrementally under
-``.cdelint_cache/``.  CDE010–CDE013 are dataflow rules: cdeflow
-(:mod:`repro.lint.dataflow` / :mod:`repro.lint.taint`) computes
+``.cdelint_cache/``.  CDE010, CDE012 and CDE013 are dataflow rules:
+cdeflow (:mod:`repro.lint.dataflow` / :mod:`repro.lint.taint`) computes
 per-function def-use chains and lifts them interprocedurally through
 the same summaries, so every finding carries a source→sink witness
 chain.  Run ``python -m repro.lint src/`` (``--format

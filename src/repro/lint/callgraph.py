@@ -26,7 +26,6 @@ from typing import Iterable, Optional
 
 from .astutil import (dotted_name, import_aliases, iter_function_defs,
                       resolve_call_target)
-from .bounded import AllocSite, GrowthSite, OpenSite, extract_bounded_facts
 from .dataflow import (FlowEdge, HandlerSummary, TaintSite, analyze_function)
 from .effects import EffectSite, extract_effect_sites
 from .module import ModuleInfo
@@ -38,8 +37,9 @@ from .taint import MUTABLE_CONSTRUCTORS, matches_any
 #: plus per-module mutable-global indexes.
 #: Version 3 added the cdesync layer: per-function effect traces and
 #: replica-of bindings, plus per-module dataclass field orders.
-#: Version 4 added the cdebound layer: container-growth sites, hot-loop
-#: allocation sites, write-open sites, and the generator/rename flags.
+#: Version 4 added the boundedness layer: container-growth sites,
+#: hot-loop allocation sites, write-open sites, and the generator/rename
+#: flags.
 #: Version 5 added the topology layer: address-provenance sites, cache
 #: ownership/passing sites, TTL-arithmetic sites, and per-module
 #: component declarations.
@@ -47,7 +47,9 @@ from .taint import MUTABLE_CONSTRUCTORS, matches_any
 #: nodes) along with the inline RNG replicas they verified.
 #: Version 7 dropped the topology layer again; runtime tests pin what it
 #: checked.
-SUMMARY_VERSION = 7
+#: Version 8 dropped the boundedness layer; runtime tests pin what it
+#: checked.
+SUMMARY_VERSION = 8
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -113,12 +115,6 @@ class FunctionSummary:
     # -- cdesync layer (summary version 3) ----------------------------------
     trace_json: str = ""               # effect trace (repro.lint.trace), or ""
     replica_of: str = ""               # ``# cdelint: replica-of=`` target
-    # -- cdebound layer (summary version 4) ---------------------------------
-    growth: tuple[GrowthSite, ...] = ()   # container-growth sites (CDE017)
-    allocs: tuple[AllocSite, ...] = ()    # hot-loop allocation sites (CDE018)
-    opens: tuple[OpenSite, ...] = ()      # write-mode open() sites (CDE019)
-    is_generator: bool = False            # frame suspends across the stream
-    renames: bool = False                 # calls os.replace/os.rename
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -136,11 +132,6 @@ class FunctionSummary:
             "params": list(self.params),
             "trace": self.trace_json,
             "replica_of": self.replica_of,
-            "growth": [site.to_json() for site in self.growth],
-            "allocs": [site.to_json() for site in self.allocs],
-            "opens": [site.to_json() for site in self.opens],
-            "gen": self.is_generator,
-            "renames": self.renames,
         }
 
     @classmethod
@@ -168,14 +159,6 @@ class FunctionSummary:
             params=tuple(str(p) for p in raw["params"]),  # type: ignore[union-attr]
             trace_json=str(raw.get("trace", "")),
             replica_of=str(raw.get("replica_of", "")),
-            growth=tuple(GrowthSite.from_json(s)
-                         for s in raw.get("growth", ())),  # type: ignore[union-attr]
-            allocs=tuple(AllocSite.from_json(s)
-                         for s in raw.get("allocs", ())),  # type: ignore[union-attr]
-            opens=tuple(OpenSite.from_json(s)
-                        for s in raw.get("opens", ())),  # type: ignore[union-attr]
-            is_generator=bool(raw.get("gen", False)),
-            renames=bool(raw.get("renames", False)),
         )
 
 
@@ -400,7 +383,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
     for func, qualname, _is_method in iter_function_defs(module.tree):
         flow = analyze_function(func, aliases)
         trace = extract_trace(func, objnew, objsetattr)
-        facts = extract_bounded_facts(func, aliases)
         functions.append(FunctionSummary(
             qualname=qualname,
             name=func.name,
@@ -422,11 +404,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             trace_json=(_json.dumps(trace, separators=(",", ":"))
                         if has_effect_nodes(trace) else ""),
             replica_of=replica_marker_for(markers, func),
-            growth=facts.growth,
-            allocs=facts.allocs,
-            opens=facts.opens,
-            is_generator=facts.is_generator,
-            renames=facts.renames,
         ))
     functions.sort(key=lambda f: (f.line, f.col, f.qualname))
     return ModuleSummary(

@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain", metavar="RULE",
         help="print a rule's rationale and fix guidance, then exit "
-             "(accepts CDE017, a bare 17, or a name like "
-             "unbounded-accumulation)",
+             "(accepts CDE012, a bare 12, or a name like "
+             "capture-safety)",
     )
     parser.add_argument(
         "--changed", action="store_true",
@@ -139,7 +139,7 @@ def _run_fix(args: argparse.Namespace, config: LintConfig,
 
 
 def _resolve_rule(token: str) -> Optional[str]:
-    """``CDE017``, a bare ``17`` or a ``rule-name`` slug -> registry id."""
+    """``CDE012``, a bare ``12`` or a ``rule-name`` slug -> registry id."""
     registry = all_rules()
     wanted = token.strip().upper()
     if wanted in registry:

@@ -34,89 +34,6 @@ def path_matches_any(path: str, patterns: tuple[str, ...]) -> bool:
     return any(path_matches(path, pattern) for pattern in patterns)
 
 
-#: The CDE017 carve-out table for this tree (``pattern=justification``;
-#: see :attr:`LintConfig.bounded_allow`).  Defined up front so the
-#: defaults stay usable under ``--no-config`` — the mutation tests lint
-#: pristine copies of ``src/repro`` that must come up clean.  The seven
-#: world packages get one structural carve-out each: their state lives
-#: inside a shard's :class:`SimulatedInternet`, where a lane holds one
-#: in-flight platform and retires it once its row is out
-#: (``SimulatedInternet.retire_platform``); ``tests/test_census_memory.py``
-#: pins that bound at run time.  Everything on the
-#: census-lifetime path (study/, export) is itemised per receiver with its
-#: explicit bound.
-_DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
-    # -- world-scoped packages: lifetime is one shard's world ---------------
-    "repro/dns/*=shard-world-scoped (messages, zones) plus per-name "
-    "intern/encode memos capped at 8192 entries; a lane holds one "
-    "in-flight platform and retires it after its row, with the records "
-    "its measurement planted in the CDE zone, so every zone is back to "
-    "its built shape between platforms",
-    "repro/cache/*=shard-world-scoped; TTL+capacity eviction bounds "
-    "each cache, and a cache lives only as long as its platform: one "
-    "in-flight platform per lane, retired after its row",
-    "repro/resolver/*=shard-world-scoped (pools, frontend table, "
-    "selector load, per-query visited/trace bounded by chain depth), "
-    "owned by the lane's one in-flight platform and dropped when it "
-    "retires after its row",
-    "repro/server/*=shard-world-scoped (zones, RRL token buckets, "
-    "hierarchy maps, the per-world QueryLogs, which forget their "
-    "entries when a platform retires after its row): one in-flight "
-    "platform's arrivals per lane",
-    "repro/client/*=shard-world-scoped (browser host cache, SMTP "
-    "attempt records), made per platform and dropped when it retires "
-    "after its row: one in-flight platform per lane",
-    "repro/net/*=shard-world-scoped (endpoints and RNG stream memo, "
-    "whose per-platform entries are released when a platform retires "
-    "after its row; RRL window pruned per decision; per-shard perf "
-    "counters): one in-flight platform per lane",
-    "repro/core/*=shard-world-scoped (monitor history, prober URL "
-    "list, hierarchy registry and planted-record list, the last two "
-    "cleared by retire_planted); nothing else per platform on the census "
-    "path, which holds one in-flight platform per lane and retires it "
-    "after its row",
-    # -- the linter itself --------------------------------------------------
-    "repro/lint/*=never on a measurement path; reachable only through "
-    "simple-name call binding (same precedent as shard-state-allow)",
-    # -- census-lifetime accumulators, itemised -----------------------------
-    "repro/study/accuracy.py::AccuracyReport.add_row::*=fixed label-set "
-    "accuracy cells (technique x selector class), integer counters only",
-    "repro/study/census.py::CensusAggregates.add_row::*=online aggregate "
-    "fold: integer cells over fixed or value-bounded key sets",
-    "repro/study/census.py::_fold_and_write::keep=in-memory mode only: "
-    "keep is None on every streaming path",
-    "repro/study/engine.py::PipelinedEngine.stream::active=lane "
-    "scheduling list, bounded by the lane count",
-    "repro/study/engine.py::PipelinedEngine.stream::delivered=fixed-size "
-    "per-lane delivery cursor",
-    "repro/study/engine.py::PipelinedEngine.stream::buffers[]=per-lane "
-    "reorder buffers drained in delivery order, bounded by "
-    "STREAM_BUFFER_ROWS per lane",
-    "repro/study/engine.py::ShardLane._lane_turns::self.rows=drained by "
-    "drain_rows every pipeline turn, bounded by rows per turn",
-    "repro/study/engine.py::_FastPlan.build::cold_chains=per-platform "
-    "plan construction, lifetime one platform",
-    "repro/study/engine.py::_fused_upstream_*::plan.corridor=fixed-size "
-    "per-cache memo (len == n_caches), slots overwritten in place",
-    "repro/study/export.py::CensusWriter.write_dict::self._buffer="
-    "flushed every chunk_size rows, bounded by chunk_size",
-    "repro/study/export.py::CensusWriter._flush_chunk::self.chunks="
-    "manifest chunk index: one entry per chunk_size rows, the resume "
-    "contract itself",
-    "repro/study/internet.py::SimulatedInternet.add_platform_from_spec::"
-    "self.platforms=shard-world platform registry: the lane's one "
-    "in-flight platform, removed by retire_platform after its row",
-    "repro/study/parallel.py::_merge_spilled::taken=fixed-size per-shard "
-    "merge cursor (len == n_shards)",
-    "repro/study/stats.py::*=fixed-size accumulators: integer counters "
-    "over value-bounded keys (CDF points, bubble grid, fault kinds)",
-    "repro/study/trends.py::TrendStudy.run::self.rounds=name-binding "
-    "artifact via the generic '.run' callee; the trend study is a "
-    "top-level driver (per-round summaries, bounded by round count), "
-    "never on the streaming path",
-)
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Scopes and allow-lists for the rule set (see docs/STATIC_ANALYSIS.md)."""
@@ -188,12 +105,6 @@ class LintConfig:
     timing_sanitizers: tuple[str, ...] = (
         "LatencyClassifier.fit", "is_miss", "split_bimodal",
     )
-    #: ``path::qualname`` shard-merge entry points (CDE011): code
-    #: reachable from these but NOT from :attr:`shard_entries` handles
-    #: rows from many worlds and must not touch world-scoped state.
-    merge_entries: tuple[str, ...] = (
-        "repro/study/parallel.py::run_parallel_measurement",
-    )
     #: Shard-spec constructors (CDE012): fork-unsafe resources must not
     #: flow into these (specs are pickled across process boundaries).
     shard_spec_types: tuple[str, ...] = ("ShardTask", "WorldConfig")
@@ -261,45 +172,6 @@ class LintConfig:
     #: pair still collapses to a sync token inside other checked pairs,
     #: recording equivalence as an assumption rather than a proof.
     replicas_assume: tuple[str, ...] = ()
-    #: cdebound (CDE017) streaming entry points (``path::qualname``): no
-    #: container reachable from these may accumulate per-row state.
-    stream_entries: tuple[str, ...] = (
-        "repro/study/parallel.py::stream_parallel_measurement",
-        "repro/study/parallel.py::_run_shard_spill",
-        "repro/study/parallel.py::_merge_spilled",
-        "repro/study/engine.py::PipelinedEngine.stream",
-        "repro/study/census.py::run_census",
-        "repro/study/export.py::CensusWriter.write_row",
-        "repro/study/export.py::CensusWriter.write_dict",
-    )
-    #: cdebound (CDE017) carve-outs: ``pattern=justification`` where the
-    #: fnmatch pattern is matched against ``<rel>::<qualname>::<receiver>``
-    #: (floating: a leading ``*`` is implied).  Every entry must state the
-    #: bound that keeps the growth finite — see docs/STATIC_ANALYSIS.md.
-    bounded_allow: tuple[str, ...] = _DEFAULT_BOUNDED_ALLOW
-    #: cdebound (CDE018) hot paths (``path::qualname``): the per-probe
-    #: fused corridor and lane batch loops, where a hoistable allocation
-    #: is a per-probe cost the fast path exists to avoid.
-    hot_paths: tuple[str, ...] = (
-        "repro/study/engine.py::_leg",
-        "repro/study/engine.py::_fused_probe",
-        "repro/study/engine.py::_fused_resolve",
-        "repro/study/engine.py::_fused_resolve_chain",
-        "repro/study/engine.py::_fused_upstream",
-        "repro/study/engine.py::_fused_upstream_cold",
-        "repro/study/engine.py::_fused_cde_transaction",
-        "repro/study/engine.py::_fused_upstream_slow",
-        "repro/study/engine.py::_measure_direct_turns",
-        "repro/study/engine.py::ShardLane._lane_turns",
-    )
-    #: cdebound (CDE019) export entry points (``path::qualname``): every
-    #: write-mode ``open()`` reachable from these must stage to ``.part``
-    #: and publish with ``os.replace``/``os.rename``.
-    export_entries: tuple[str, ...] = (
-        "repro/study/export.py::CensusWriter.write_row",
-        "repro/study/export.py::CensusWriter.write_dict",
-        "repro/study/export.py::CensusWriter.close",
-    )
     #: Rule IDs disabled globally.
     disable: tuple[str, ...] = ()
 

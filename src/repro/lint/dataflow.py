@@ -28,11 +28,10 @@ local names to origin sets:
   argument.
 
 The same pass records what the provenance rules need beyond flows:
-candidate taint *sites* (presence of a source in a function, for the
-scope-based CDE011), ``try`` handler shapes (CDE013), and free-variable
-reads/mutations (CDE012's module-global capture check — the caller
-intersects them with the module's mutable globals so summaries stay
-small).
+candidate taint *sites* (presence of a source in a function), ``try``
+handler shapes (CDE013), and free-variable reads/mutations (CDE012's
+module-global capture check — the caller intersects them with the
+module's mutable globals so summaries stay small).
 
 Everything is bounded (origins per name, hops per chain, loop passes,
 edges per function) so a pathological function degrades to an

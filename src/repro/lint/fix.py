@@ -1,4 +1,4 @@
-"""``--fix`` — mechanical autofixes for CDE003 / CDE005 / CDE006 / CDE018.
+"""``--fix`` — mechanical autofixes for CDE003 / CDE005 / CDE006.
 
 The fixer is driven by the *rules*: it runs the normal lint pass (so
 path scoping, configuration and suppression comments are honoured
@@ -13,11 +13,6 @@ and rewrites the source with position-anchored text edits:
 * CDE006 — annotate parameters whose literal default makes the type
   unambiguous (``bool``/``int``/``float``/``str``/``bytes``), and add
   ``-> None`` when the body provably returns no value.
-* CDE018 — rewrite a placeholder-free f-string to a plain literal, and
-  unroll a statement-level ``NAME.extend(<genexp>)`` into an explicit
-  ``for``/``append`` loop (no generator frame per probe).  Hot-loop
-  allocations that need judgement — real f-string formatting, constant
-  displays worth interning on the plan — are left for the human.
 
 Every fix is best-effort and conservative: anything the fixer cannot
 rewrite safely (single-line function bodies, non-literal defaults,
@@ -40,7 +35,7 @@ from .engine import _relativize, iter_python_files, run_lint
 from .findings import Finding
 
 #: Rules the autofixer knows how to rewrite.
-FIXABLE_RULES = ("CDE003", "CDE005", "CDE006", "CDE018")
+FIXABLE_RULES = ("CDE003", "CDE005", "CDE006")
 
 
 @dataclass(frozen=True)
@@ -316,90 +311,10 @@ def _fix_cde006(loc: _Locator, finding: Finding,
                      f"({', '.join(annotated)})")
 
 
-# ---------------------------------------------------------------------------
-# CDE018: hoistable hot-loop allocations
-# ---------------------------------------------------------------------------
-
-def _constant_fstring_at(loc: _Locator, line: int,
-                         col: int) -> Optional[ast.JoinedStr]:
-    """The placeholder-free JoinedStr at a position, if any."""
-    for node in ast.walk(loc.tree):
-        if (isinstance(node, ast.JoinedStr)
-                and (node.lineno, node.col_offset) == (line, col)
-                and all(isinstance(value, ast.Constant)
-                        for value in node.values)):
-            return node
-    return None
-
-
-def _extend_stmt_at(
-    loc: _Locator, line: int, col: int,
-) -> Optional[tuple[ast.Expr, ast.Call, ast.GeneratorExp]]:
-    """The ``<recv>.extend(<genexp>)`` statement whose genexp sits at a
-    position — the shape CDE018's unroll fix handles."""
-    for node in ast.walk(loc.tree):
-        if not (isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)):
-            continue
-        call = node.value
-        if not (isinstance(call.func, ast.Attribute)
-                and call.func.attr == "extend"
-                and len(call.args) == 1 and not call.keywords):
-            continue
-        genexp = call.args[0]
-        if (isinstance(genexp, ast.GeneratorExp)
-                and (genexp.lineno, genexp.col_offset) == (line, col)):
-            return node, call, genexp
-    return None
-
-
-def _fix_cde018(loc: _Locator, finding: Finding,
-                edits: list[_Edit], notes: list[str]) -> None:
-    fstring = _constant_fstring_at(loc, finding.line, finding.col)
-    if fstring is not None:
-        text = "".join(
-            value.value for value in fstring.values
-            if isinstance(value, ast.Constant)
-            and isinstance(value.value, str))
-        start, end = loc.node_span(fstring)
-        edits.append(_Edit(start, end, repr(text)))
-        notes.append(f"{finding.path}:{finding.line}: placeholder-free "
-                     f"f-string rewritten as a plain literal")
-        return
-    owner = _extend_stmt_at(loc, finding.line, finding.col)
-    if owner is None:
-        return
-    stmt, call, genexp = owner
-    if len(genexp.generators) != 1:
-        return  # nested generators: leave for the human
-    gen = genexp.generators[0]
-    if gen.is_async:
-        return
-    line_start = loc.line_starts[stmt.lineno - 1]
-    indent = loc.source[line_start:loc.offset(stmt.lineno, stmt.col_offset)]
-    if indent.strip():
-        return  # statement does not start its own line
-    receiver = loc.segment(call.func.value)  # type: ignore[attr-defined]
-    if "\n" in receiver:
-        return
-    lines = [f"{indent}for {loc.segment(gen.target)} "
-             f"in {loc.segment(gen.iter)}:"]
-    inner = indent + "    "
-    for test in gen.ifs:
-        lines.append(f"{inner}if {loc.segment(test)}:")
-        inner += "    "
-    lines.append(f"{inner}{receiver}.append({loc.segment(genexp.elt)})")
-    start, end = loc.node_span(stmt)
-    edits.append(_Edit(start, end, "\n".join(lines).lstrip()))
-    notes.append(f"{finding.path}:{finding.line}: {receiver}.extend(genexp) "
-                 f"unrolled into an explicit append loop")
-
-
 _FIXERS = {
     "CDE003": _fix_cde003,
     "CDE005": _fix_cde005,
     "CDE006": _fix_cde006,
-    "CDE018": _fix_cde018,
 }
 
 

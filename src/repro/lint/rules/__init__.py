@@ -6,12 +6,9 @@ determinism invariant it protects (full rationale: docs/STATIC_ANALYSIS.md).
 """
 
 from . import (  # noqa: F401
-    bounded_accumulation,
     capture_safety,
-    checkpoint_durability,
     effects_contract,
     error_provenance,
-    hot_loop_allocation,
     iteration,
     layering,
     mutable_defaults,
@@ -23,7 +20,6 @@ from . import (  # noqa: F401
     timing_taint,
     unused_suppression,
     wallclock,
-    world_provenance,
 )
 
 # NB: no ``from __future__ import annotations`` here — the future import

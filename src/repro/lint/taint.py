@@ -96,16 +96,6 @@ DEFAULT_TIMING_SANITIZERS: tuple[str, ...] = (
     "split_bimodal",
 )
 
-#: Origins that are one seeded world's live state (CDE011): the world
-#: object itself, its RNG streams and factory, and its query log.
-WORLD_SOURCES: tuple[str, ...] = (
-    "SimulatedInternet",
-    ".stream",
-    ".rng_factory",
-    ".query_log",
-    "fallback_rng",
-)
-
 #: Calls that produce fork-unsafe resources (CDE012): live handles that
 #: must never ride inside a pickled shard spec.  ``open`` and the socket
 #: constructors are the handle-producing IO leaves (cf. ``IO_CALLS`` /
@@ -134,13 +124,12 @@ FORK_UNSAFE_CALLS: frozenset[str] = frozenset({
 #: so a configured attribute source must end with one of these suffixes
 #: to be tracked (extending the universe bumps ``SUMMARY_VERSION``).
 CANDIDATE_ATTR_SUFFIXES: tuple[str, ...] = (
-    ".rtt", ".dns_rtt", ".now", ".rng_factory", ".query_log",
+    ".rtt", ".dns_rtt", ".now",
 )
 
-#: Call patterns recorded as taint *sites* (presence, not flow) for the
-#: scope-based rules (CDE011's merge-path check).
+#: Call patterns recorded as taint *sites* (presence, not flow).
 CANDIDATE_SITE_CALLS: frozenset[str] = (
-    frozenset(WORLD_SOURCES) | FORK_UNSAFE_CALLS | TIMING_CALL_SOURCES
+    FORK_UNSAFE_CALLS | TIMING_CALL_SOURCES
 )
 
 #: Calls that pass taint straight through from arguments to result

@@ -316,9 +316,7 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
 
             engine = PipelinedEngine(tasks)
             expected = 0
-            # ``engine.stream`` is the lane scheduler (itself a shard
-            # entry), not a world RNG stream.
-            for position, row in engine.stream():  # cdelint: disable=CDE011
+            for position, row in engine.stream():
                 if position != expected:
                     raise RuntimeError(
                         f"stream out of order: got position {position}, "
