@@ -30,7 +30,7 @@ from repro.study import (
     accuracy_report,
     generate_population,
     resilience_summary,
-    run_parallel_measurement,
+    stream_parallel_measurement,
 )
 
 from conftest import run_once
@@ -62,21 +62,22 @@ RETRY_PROFILES = ("none", "paper")
 def _leg(specs, fault_profile: str, retry_profile: str):
     config = WorldConfig(seed=SEED, fault_profile=fault_profile,
                          retry_profile=retry_profile)
-    result = run_parallel_measurement(specs, base_seed=SEED,
-                                      n_shards=N_SHARDS, config=config,
-                                      budget=BUDGET)
-    accuracy = accuracy_report(result.rows)
-    degradation = resilience_summary(result.rows)
+    streamed = stream_parallel_measurement(specs, base_seed=SEED,
+                                           n_shards=N_SHARDS, config=config,
+                                           budget=BUDGET)
+    rows = list(streamed)
+    accuracy = accuracy_report(rows)
+    degradation = resilience_summary(rows)
     return {
         "fault_profile": fault_profile,
         "retry_profile": retry_profile,
-        "platforms": len(result.rows),
+        "platforms": len(rows),
         "exact_rate": accuracy.cache_overall.exact_rate,
         "mean_absolute_error": accuracy.cache_overall.mean_absolute_error,
         "bias": accuracy.cache_overall.bias,
         "overcounts": accuracy.cache_overall.overcounts,
-        "queries_sent": result.perf.queries_sent,
-        "faults_injected": result.perf.stats.faults_injected,
+        "queries_sent": streamed.perf.queries_sent,
+        "faults_injected": streamed.perf.stats.faults_injected,
         "attempts": degradation.attempts,
         "retries": degradation.retries,
         "gave_up": degradation.gave_up,

@@ -9,31 +9,28 @@ source addresses of probe-driven queries at our nameservers), not copied
 from the generator configs.
 """
 
-from conftest import BENCH_BUDGET, BENCH_CAPS, BENCH_POPULATION_SIZES, run_once
+from conftest import BENCH_CAPS, BENCH_POPULATION_SIZES, bench_census, run_once
 
-from repro.net.perf import PerfCounters, track
+from repro.net.perf import PerfCounters
 from repro.study import (
-    build_world,
     format_cdf_series,
     format_perf,
     fraction_above,
     fraction_at_most,
     generate_population,
-    measure_population,
 )
 
 
 def test_fig3_egress_cdf(benchmark):
     def workload():
-        world = build_world(seed=301, lossy_platforms=False)
         series = {}
         perf = PerfCounters()
         for population, count in BENCH_POPULATION_SIZES.items():
             specs = generate_population(population, count, seed=301,
                                         **BENCH_CAPS[population])
-            with track(world, perf=perf, platforms=len(specs)):
-                rows = measure_population(world, specs, BENCH_BUDGET)
-            series[population] = [row.measured_egress for row in rows]
+            census = bench_census(specs, seed=301)
+            series[population] = census.aggregates.egress_cdf.values()
+            perf.merge(census.perf)
         return series, perf
 
     series, perf = run_once(benchmark, workload)

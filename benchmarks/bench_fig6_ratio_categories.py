@@ -6,27 +6,19 @@ the majority of ISPs (~65%) and enterprises (>80%) use more than one
 address *and* more than one cache.
 """
 
-from conftest import BENCH_BUDGET, BENCH_CAPS, BENCH_POPULATION_SIZES, run_once
+from conftest import BENCH_CAPS, BENCH_POPULATION_SIZES, bench_census, run_once
 
-from repro.study import (
-    build_world,
-    format_ratio_breakdown,
-    generate_population,
-    measure_population,
-    ratio_breakdown,
-)
+from repro.study import format_ratio_breakdown, generate_population
 
 
 def test_fig6_ratio_categories(benchmark):
     def workload():
-        world = build_world(seed=601, lossy_platforms=False)
         breakdowns = {}
         for population, count in BENCH_POPULATION_SIZES.items():
             specs = generate_population(population, count, seed=601,
                                         **BENCH_CAPS[population])
-            rows = measure_population(world, specs, BENCH_BUDGET)
-            breakdowns[population] = ratio_breakdown(
-                [row.ip_cache_pair for row in rows])
+            census = bench_census(specs, seed=601)
+            breakdowns[population] = census.aggregates.ratios.breakdown()
         return breakdowns
 
     breakdowns = run_once(benchmark, workload)

@@ -9,39 +9,33 @@ Caches are measured through each enterprise's own mail server (bounce
 handling + CNAME-chain bypass).
 """
 
-from conftest import BENCH_BUDGET, BENCH_CAPS, run_once
+from conftest import BENCH_CAPS, bench_census, run_once
 
-from repro.study import (
-    build_world,
-    bubble_counts,
-    format_bubbles,
-    generate_population,
-    measure_population,
-)
+from repro.study import format_bubbles, generate_population
 
 N_PLATFORMS = 50
 
 
 def test_fig7_smtp_scatter(benchmark):
     def workload():
-        world = build_world(seed=701, lossy_platforms=False)
         specs = generate_population("email-servers", N_PLATFORMS, seed=701,
                                     **BENCH_CAPS["email-servers"])
-        rows = measure_population(world, specs, BENCH_BUDGET)
-        assert all(row.technique == "smtp" for row in rows)
-        return [row.ip_cache_pair for row in rows]
+        aggregates = bench_census(specs, seed=701).aggregates
+        assert set(aggregates.accuracy.cache_by_technique) == {"smtp"}
+        return aggregates
 
-    pairs = run_once(benchmark, workload)
-    counts = bubble_counts(pairs)
+    aggregates = run_once(benchmark, workload)
+    counts = aggregates.bubbles.counts()
+    platforms = aggregates.rows
     print()
     print(format_bubbles(counts,
                          title="Figure 7 — enterprises (via SMTP): ingress "
                                "IPs vs. measured caches"))
 
     # More scattered than Figure 5: the biggest circle holds a minority.
-    assert max(counts.values()) < 0.45 * len(pairs)
+    assert max(counts.values()) < 0.45 * platforms
     # Significantly fewer ingress IPs than open resolvers: no giant tail.
     assert all(x <= 20 for (x, _) in counts)
     # Multi-cache cells dominate.
     multi_cache = sum(count for (_, y), count in counts.items() if y > 1)
-    assert multi_cache > 0.6 * len(pairs)
+    assert multi_cache > 0.6 * platforms

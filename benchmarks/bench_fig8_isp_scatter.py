@@ -7,42 +7,36 @@ still being far less single/single than open resolvers.
 Caches are measured through browser clients recruited via the ad network.
 """
 
-from conftest import BENCH_BUDGET, BENCH_CAPS, run_once
+from conftest import BENCH_CAPS, bench_census, run_once
 
-from repro.study import (
-    build_world,
-    bubble_counts,
-    format_bubbles,
-    fraction_at_most,
-    generate_population,
-    measure_population,
-)
+from repro.study import format_bubbles, fraction_at_most, generate_population
 
 N_PLATFORMS = 50
 
 
 def test_fig8_isp_scatter(benchmark):
-    def workload():
-        world = build_world(seed=801, lossy_platforms=False)
-        specs = generate_population("ad-network", N_PLATFORMS, seed=801,
-                                    **BENCH_CAPS["ad-network"])
-        rows = measure_population(world, specs, BENCH_BUDGET)
-        assert all(row.technique == "browser" for row in rows)
-        return [row.ip_cache_pair for row in rows]
+    specs = generate_population("ad-network", N_PLATFORMS, seed=801,
+                                **BENCH_CAPS["ad-network"])
 
-    pairs = run_once(benchmark, workload)
-    counts = bubble_counts(pairs)
+    def workload():
+        aggregates = bench_census(specs, seed=801).aggregates
+        assert set(aggregates.accuracy.cache_by_technique) == {"browser"}
+        return aggregates
+
+    aggregates = run_once(benchmark, workload)
+    counts = aggregates.bubbles.counts()
+    platforms = aggregates.rows
     print()
     print(format_bubbles(counts,
                          title="Figure 8 — ISPs (via ad-network): ingress "
                                "IPs vs. measured caches"))
 
-    caches = [y for _, y in pairs]
-    ips = [x for x, _ in pairs]
+    caches = aggregates.cache_cdf.values()
+    ips = [spec.n_ingress for spec in specs]
     # ISPs use few caches: most platforms at 1-3 (paper: ~60%).
     assert fraction_at_most(caches, 3) > 0.45
     # And small ingress pools (no open-resolver-style giants).
     assert max(ips) <= 20
     # But they are not the open-resolver monoculture: (1,1) is a minority.
     single_single = counts.get((1, 1), 0)
-    assert single_single < 0.2 * len(pairs)
+    assert single_single < 0.2 * platforms

@@ -11,7 +11,7 @@ dataset, §V-A):
   through ``measure_population`` one platform at a time, exactly what
   ``run_shard`` did before the pipelined engine.  Kept as the baseline
   the engine legs are judged against.
-* ``workers-1/2/4``      — ``run_parallel_measurement`` at explicit
+* ``workers-1/2/4``      — ``stream_parallel_measurement`` at explicit
   worker counts; :func:`repro.study.resolve_workers` decides whether a
   real pool can pay for itself, so every count must beat the legacy leg.
 * ``pipelined``          — ``workers="auto"``: the engine's own choice
@@ -54,7 +54,7 @@ from repro.study import (
     generate_population,
     measure_population,
     plan_shards,
-    run_parallel_measurement,
+    stream_parallel_measurement,
 )
 
 from conftest import run_once
@@ -136,23 +136,25 @@ def _engine_leg(name: str, workers, specs):
     wall = float("inf")
     for _ in range(ENGINE_REPEATS):
         started = time.perf_counter()
-        result = run_parallel_measurement(
+        streamed = stream_parallel_measurement(
             specs, base_seed=SEED, workers=workers, n_shards=DEFAULT_SHARDS,
             config=WorldConfig(seed=SEED), budget=BUDGET)
+        rows = list(streamed)
         wall = min(wall, time.perf_counter() - started)
+    perf = streamed.perf
     return {
         "leg": name,
         "workers_requested": workers,
-        "workers": result.perf.workers,
-        "n_shards": result.n_shards,
+        "workers": perf.workers,
+        "n_shards": streamed.n_shards,
         "wall_seconds": wall,
-        "queries_sent": result.perf.queries_sent,
-        "queries_per_second": result.perf.queries_sent / wall if wall else 0.0,
-        "platforms": len(result.rows),
-        "shard_busy_seconds": result.perf.busy_seconds,
-        "fused_probes": result.perf.fused_probes,
-        "fallback_probes": result.perf.fallback_probes,
-    }, result.rows
+        "queries_sent": perf.queries_sent,
+        "queries_per_second": perf.queries_sent / wall if wall else 0.0,
+        "platforms": len(rows),
+        "shard_busy_seconds": perf.busy_seconds,
+        "fused_probes": perf.fused_probes,
+        "fallback_probes": perf.fallback_probes,
+    }, rows
 
 
 def test_bench_scaling_parallel(benchmark, fail_on_fallback):

@@ -7,15 +7,9 @@ mean absolute error and bias per selector class and per technique.  The
 assertions are the regression alarm for the whole measurement pipeline.
 """
 
-from conftest import BENCH_BUDGET, run_once
+from conftest import bench_census, run_once
 
-from repro.study import (
-    accuracy_report,
-    build_world,
-    format_table,
-    generate_population,
-    measure_population,
-)
+from repro.study import AccuracyReport, format_table, generate_population
 
 SIZES = {"open-resolvers": 35, "email-servers": 25, "ad-network": 25}
 CAPS = {
@@ -27,16 +21,14 @@ CAPS = {
 
 def test_measurement_accuracy(benchmark):
     def workload():
-        world = build_world(seed=991, lossy_platforms=False)
-        rows = []
+        report = AccuracyReport()
         for population, size in SIZES.items():
             specs = generate_population(population, size, seed=991,
                                         **CAPS[population])
-            rows.extend(measure_population(world, specs, BENCH_BUDGET))
-        return rows
+            report.merge(bench_census(specs, seed=991).aggregates.accuracy)
+        return report
 
-    rows = run_once(benchmark, workload)
-    report = accuracy_report(rows)
+    report = run_once(benchmark, workload)
     print()
     print(format_table(
         ["quantity / group", "n", "exact", "MAE", "bias"],

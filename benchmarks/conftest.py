@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.study import MeasurementBudget
+from repro.study import CensusResult, MeasurementBudget, WorldConfig, run_census
 
 #: One shared budget keeps all population benches comparable and fast.
 BENCH_BUDGET = MeasurementBudget(
@@ -57,6 +57,17 @@ def fail_on_fallback(request):
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under the benchmark timer and return it."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def bench_census(specs, seed: int) -> CensusResult:
+    """Measure ``specs`` the way ``regenerate_all`` does: one streamed census.
+
+    The shard worlds derive from ``seed`` and run without the per-country
+    loss models, so the figure anchors see the methodology, not packet loss.
+    """
+    return run_census(specs=specs, seed=seed,
+                      config=WorldConfig(seed=seed, lossy_platforms=False),
+                      budget=BENCH_BUDGET, stream=True)
 
 
 @pytest.fixture

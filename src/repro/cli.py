@@ -94,20 +94,19 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from .core.resilient import RETRY_PROFILES
     from .net.faults import FAULT_PROFILES
     from .study import (
+        CensusAggregates,
         build_world,
         format_bubbles,
         format_cdf_series,
         format_perf,
         format_ratio_breakdown,
         format_resilience,
-        measurements_csv,
         regenerate_all,
-        resilience_summary,
         table1_csv,
     )
     from .study.figures import DEFAULT_CAPS
 
-    if args.workers is not None and args.workers < 0:
+    if args.workers < 0:
         print("error: --workers must be >= 0", file=sys.stderr)
         return 2
     if args.fault_profile not in FAULT_PROFILES:
@@ -128,7 +127,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                                 "ad-network")}
     data = regenerate_all(world, sizes=sizes, caps=DEFAULT_CAPS,
                           table1_domains=max(20, args.count),
-                          seed=args.seed, workers=args.workers)
+                          seed=args.seed, workers=args.workers,
+                          out_dir=args.out)
     print(format_cdf_series(data.egress_series(),
                             xs=[1, 2, 5, 11, 20, 40],
                             title="Figure 3: egress IPs per platform (CDF)",
@@ -142,8 +142,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                                  title="Figure 6: IP/cache ratio categories"))
     print()
     print(format_perf(data.perf))
-    all_rows = [row for rows in data.measurements.values() for row in rows]
-    degradation = resilience_summary(all_rows)
+    merged = CensusAggregates()
+    for aggregates in data.aggregates.values():
+        merged.merge(aggregates)
+    degradation = merged.resilience.summary()
     if (degradation.degraded_platforms or degradation.fault_exposure
             or args.fault_profile != "none" or args.retry_profile != "none"):
         print()
@@ -163,9 +165,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "measurements.csv").write_text(measurements_csv(data))
         (out_dir / "table1.csv").write_text(table1_csv(data))
-        print(f"\nwrote {out_dir}/measurements.csv and {out_dir}/table1.csv")
+        print(f"\nwrote {out_dir}/table1.csv and one census export per "
+              f"population under {out_dir}/")
     return 0
 
 
@@ -425,10 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="regenerate Figures 3-8")
     figures.add_argument("--count", type=int, default=30,
                          help="platforms per population")
-    figures.add_argument("--workers", type=int, default=None,
-                         help="measure through the sharded parallel engine "
-                              "on N worker processes (0 = in-process shards; "
-                              "omit for the sequential pipeline)")
+    figures.add_argument("--workers", type=int, default=0,
+                         help="worker processes for each population's "
+                              "census (0 = in-process engine)")
     figures.add_argument("--fault-profile", default="none",
                          help="named fault profile to measure under "
                               "(seed-deterministic; see repro.net.faults."
@@ -440,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--bubbles", action="store_true",
                          help="also print the Figure 5/7/8 bubble tables")
     figures.add_argument("--out", default=None,
-                         help="directory for CSV exports")
+                         help="directory for table1.csv and one census "
+                              "NDJSON export per population")
     figures.set_defaults(func=_cmd_figures)
 
     census = sub.add_parser(

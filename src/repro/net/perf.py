@@ -85,6 +85,13 @@ class PerfCounters:
         self.wire_cache_misses += shard.wire_cache_misses
         self.merge_stats(shard.stats)
 
+    def merge(self, other: "PerfCounters") -> None:
+        """Fold in the counters of a run that ran after this one."""
+        self.wall_seconds += other.wall_seconds
+        self.workers = max(self.workers, other.workers)
+        for shard in other.shards:
+            self.add_shard(shard)
+
     # -- derived throughput ----------------------------------------------
 
     @property

@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     )
     from .figures import (
         FigureData,
-        measurements_csv,
         regenerate_all,
         table1_csv,
     )
@@ -83,13 +82,11 @@ if TYPE_CHECKING:
     from .parallel import (
         DEFAULT_SHARDS,
         MIN_PLATFORMS_PER_WORKER,
-        ParallelMeasurement,
         ShardOutcome,
         ShardTask,
         StreamingMeasurement,
         plan_shards,
         resolve_workers,
-        run_parallel_measurement,
         run_shard,
         shard_seed,
         stream_parallel_measurement,

@@ -4,26 +4,33 @@ Each builder runs the relevant collection + measurement pipeline and
 returns plain data (series, pairs, breakdowns) ready for rendering by
 :mod:`repro.study.report`, for CSV export, or for custom plotting.  The
 benches and the CLI both sit on top of these, so the regeneration logic
-lives in exactly one place.
+lives in exactly one place.  Every population is measured by one
+:func:`~repro.study.census.run_census`, the same path a census takes, so
+the figures read the census's own online aggregates.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..net.perf import PerfCounters, track
+from ..net.perf import PerfCounters
+from .census import CensusAggregates, run_census
 from .collection import SmtpCollectionResult, run_smtp_collection
 from .internet import SimulatedInternet
-from .measurement import MeasurementBudget, PlatformMeasurement, measure_population
+from .measurement import MeasurementBudget
 from .operators import OPERATOR_TABLES, draw_operator, top_n_table
-from .parallel import run_parallel_measurement
+from .parallel import WorkerSpec
 from .population import POPULATIONS, generate_population
-from .stats import RatioBreakdown, bubble_counts, ratio_breakdown
+from .stats import RatioBreakdown
 
-DEFAULT_SIZES = {"open-resolvers": 40, "email-servers": 25, "ad-network": 25}
+#: The paper's dataset sizes: 1,739 open resolvers, the top-1K enterprise
+#: SMTP servers, and 12K ad-network clients at the 1:50 completion rate.
+DEFAULT_SIZES = {"open-resolvers": 1739, "email-servers": 1000,
+                 "ad-network": 240}
 DEFAULT_CAPS = {
     "open-resolvers": dict(max_ingress=200, max_caches=16, max_egress=30),
     "email-servers": dict(max_ingress=10, max_caches=10, max_egress=40),
@@ -35,36 +42,34 @@ DEFAULT_CAPS = {
 class FigureData:
     """All regenerated evaluation artifacts from one measurement run."""
 
-    measurements: dict[str, list[PlatformMeasurement]]
+    aggregates: dict[str, CensusAggregates]
     table1: Optional[SmtpCollectionResult] = None
     operator_tables: dict[str, list[tuple[str, float]]] = field(
         default_factory=dict)
     #: Performance counters of the measurement phase (wall time, traffic,
-    #: queries/sec) — populated by :func:`regenerate_all`.
+    #: queries/sec), merged over the populations' censuses.
     perf: Optional[PerfCounters] = None
 
     # -- figure series ---------------------------------------------------
 
-    def egress_series(self) -> dict[str, list[int]]:
+    def egress_series(self) -> dict[str, list[float]]:
         """Figure 3 input: measured egress counts per population."""
-        return {population: [row.measured_egress for row in rows]
-                for population, rows in self.measurements.items()}
+        return {population: aggregates.egress_cdf.values()
+                for population, aggregates in self.aggregates.items()}
 
-    def cache_series(self) -> dict[str, list[int]]:
+    def cache_series(self) -> dict[str, list[float]]:
         """Figure 4 input: measured cache counts per population."""
-        return {population: [row.measured_caches for row in rows]
-                for population, rows in self.measurements.items()}
+        return {population: aggregates.cache_cdf.values()
+                for population, aggregates in self.aggregates.items()}
 
     def bubbles(self, population: str) -> dict[tuple[int, int], int]:
         """Figures 5/7/8 input for one population."""
-        rows = self.measurements[population]
-        return bubble_counts([row.ip_cache_pair for row in rows])
+        return self.aggregates[population].bubbles.counts()
 
     def ratio_breakdowns(self) -> dict[str, RatioBreakdown]:
         """Figure 6 input."""
-        return {population: ratio_breakdown([row.ip_cache_pair
-                                             for row in rows])
-                for population, rows in self.measurements.items()}
+        return {population: aggregates.ratios.breakdown()
+                for population, aggregates in self.aggregates.items()}
 
 
 def regenerate_all(world: SimulatedInternet,
@@ -74,43 +79,34 @@ def regenerate_all(world: SimulatedInternet,
                    table1_domains: int = 150,
                    operator_draws: int = 1000,
                    seed: int = 0,
-                   workers: Optional[int] = None) -> FigureData:
+                   workers: WorkerSpec = 0,
+                   out_dir: Optional[str] = None) -> FigureData:
     """One pass that regenerates every table and figure's data.
 
-    ``workers=None`` measures every population sequentially inside the
-    shared ``world`` (the original single-process pipeline).  Any integer
-    — including 0, the in-process debug mode — routes the measurement
-    phase through the sharded parallel engine instead: each population is
-    split across independently seeded shard worlds (seed derivation
+    Each population is one streamed census under ``world.config``: its
+    shards run in independently seeded worlds (seed derivation
     ``derive_seed(seed, "shard/<i>")``), so the rows are deterministic for
-    a given seed and identical for every worker count.
+    a given seed and identical for every ``workers`` setting.  With
+    ``out_dir``, each population's rows are exported to
+    ``out_dir/<population>/`` as the census's chunked NDJSON.  ``world``
+    itself hosts only the Table I collection and the operator draws.
     """
     sizes = sizes or DEFAULT_SIZES
     caps = caps or DEFAULT_CAPS
-    budget = budget or MeasurementBudget()
 
-    measurements = {}
-    perf = PerfCounters(workers=workers or 0)
+    aggregates = {}
+    perf = PerfCounters()
     for population in POPULATIONS:
         specs = generate_population(population, sizes[population], seed=seed,
                                     **caps.get(population, {}))
-        if workers is None:
-            with track(world, perf=perf, platforms=len(specs)):
-                rows = measure_population(world, specs, budget)
-            measurements[population] = rows
-            # The shared prober only sees direct queries; indirect
-            # techniques spend theirs through SMTP/browser clients.
-            perf.queries_sent += sum(
-                row.queries_used for row in rows
-                if row.technique != "direct")
-        else:
-            result = run_parallel_measurement(
-                specs, base_seed=seed, workers=workers,
-                config=world.config, budget=budget)
-            measurements[population] = result.rows
-            perf.wall_seconds += result.perf.wall_seconds
-            for shard in result.perf.shards:
-                perf.add_shard(shard)
+        census = run_census(
+            specs=specs, population=population, seed=seed,
+            config=world.config, budget=budget, workers=workers, stream=True,
+            out_dir=(None if out_dir is None
+                     else os.path.join(out_dir, population)))
+        aggregates[population] = census.aggregates
+        assert census.perf is not None
+        perf.merge(census.perf)
 
     table1_specs = generate_population(
         "email-servers", table1_domains, seed=seed + 1,
@@ -124,32 +120,13 @@ def regenerate_all(world: SimulatedInternet,
                   for _ in range(operator_draws)]
         operator_tables[population] = top_n_table(labels, n=10)
 
-    return FigureData(measurements=measurements, table1=table1,
+    return FigureData(aggregates=aggregates, table1=table1,
                       operator_tables=operator_tables, perf=perf)
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
-
-
-def measurements_csv(data: FigureData) -> str:
-    """All per-platform rows as CSV (one row per measured platform)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["population", "name", "operator", "country", "selector",
-                     "n_ingress", "true_caches", "measured_caches",
-                     "true_egress", "measured_egress", "technique",
-                     "queries_used"])
-    for population, rows in data.measurements.items():
-        for row in rows:
-            writer.writerow([
-                population, row.spec.name, row.spec.operator,
-                row.spec.country, row.spec.selector_name, row.spec.n_ingress,
-                row.true_caches, row.measured_caches, row.true_egress,
-                row.measured_egress, row.technique, row.queries_used,
-            ])
-    return buffer.getvalue()
 
 
 def table1_csv(data: FigureData) -> str:

@@ -87,20 +87,6 @@ class ShardOutcome:
     perf: ShardPerf
 
 
-@dataclass
-class ParallelMeasurement:
-    """Merged result of a sharded population sweep."""
-
-    rows: list[PlatformMeasurement]
-    perf: PerfCounters
-    n_shards: int = 0
-    base_seed: int = 0
-
-    @property
-    def shard_rows(self) -> int:
-        return sum(shard.platforms for shard in self.perf.shards)
-
-
 def plan_shards(specs: list[PlatformSpec], base_seed: int = 0,
                 n_shards: Optional[int] = None,
                 config: Optional[WorldConfig] = None,
@@ -350,30 +336,4 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
 
     result._iterator = _stream()
     return result
-
-
-def run_parallel_measurement(specs: list[PlatformSpec],
-                             base_seed: int = 0,
-                             workers: WorkerSpec = 0,
-                             n_shards: Optional[int] = None,
-                             config: Optional[WorldConfig] = None,
-                             budget: Optional[MeasurementBudget] = None,
-                             force_pool: bool = False
-                             ) -> ParallelMeasurement:
-    """:func:`stream_parallel_measurement`, collected into one list.
-
-    ``workers`` is an explicit process count or ``"auto"``;
-    :func:`resolve_workers` decides whether a real pool can beat the
-    in-process pipelined engine and sizes it.  Every setting produces
-    identical rows for a given ``(specs, base_seed, n_shards)`` — the
-    recorded ``perf.workers`` is the resolved pool size actually used.
-    """
-    streamed = stream_parallel_measurement(
-        specs, base_seed=base_seed, workers=workers, n_shards=n_shards,
-        config=config, budget=budget, force_pool=force_pool)
-    rows = list(streamed)
-    assert streamed.perf is not None
-    return ParallelMeasurement(rows=rows, perf=streamed.perf,
-                               n_shards=streamed.n_shards,
-                               base_seed=base_seed)
 

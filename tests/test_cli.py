@@ -92,5 +92,6 @@ class TestCommands:
     def test_figures_csv_out(self, capsys, tmp_path):
         assert main(["figures", "--count", "3",
                      "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "measurements.csv").exists()
         assert (tmp_path / "table1.csv").exists()
+        for population in ("open-resolvers", "email-servers", "ad-network"):
+            assert (tmp_path / population / "manifest.json").exists()

@@ -19,7 +19,7 @@ from repro.study import (
     build_world,
     measurement_to_dict,
     measure_population,
-    run_parallel_measurement,
+    stream_parallel_measurement,
 )
 from repro.study.population import generate_population
 
@@ -58,10 +58,10 @@ class TestDeterminismUnderFaults:
         specs = _specs()
         reference = None
         for workers in (0, 4):
-            result = run_parallel_measurement(
+            rows = stream_parallel_measurement(
                 specs, base_seed=SEED, workers=workers, n_shards=N_SHARDS,
                 config=_config(profile), budget=FAST_BUDGET)
-            key = _row_key(result.rows)
+            key = _row_key(rows)
             if reference is None:
                 reference = key
             else:
@@ -70,37 +70,39 @@ class TestDeterminismUnderFaults:
 
     def test_repeat_runs_identical_under_hostile_mix(self):
         specs = _specs()
-        runs = [run_parallel_measurement(
+        runs = [_row_key(stream_parallel_measurement(
                     specs, base_seed=SEED, n_shards=N_SHARDS,
-                    config=_config("hostile-mix"), budget=FAST_BUDGET)
+                    config=_config("hostile-mix"), budget=FAST_BUDGET))
                 for _ in range(2)]
-        assert _row_key(runs[0].rows) == _row_key(runs[1].rows)
+        assert runs[0] == runs[1]
 
     def test_indirect_populations_deterministic_under_faults(self):
         # The SMTP/browser paths route through stubs (their own retry
         # rotation) — cover one of them across worker counts too.
         specs = _specs("email-servers")
         keys = [
-            _row_key(run_parallel_measurement(
+            _row_key(stream_parallel_measurement(
                 specs, base_seed=SEED, workers=workers, n_shards=N_SHARDS,
-                config=_config("loss-cn"), budget=FAST_BUDGET).rows)
+                config=_config("loss-cn"), budget=FAST_BUDGET))
             for workers in (0, 4)
         ]
         assert keys[0] == keys[1]
 
     def test_different_fault_profiles_are_different_worlds(self):
         specs = _specs()
-        polite = run_parallel_measurement(
+        polite = stream_parallel_measurement(
             specs, base_seed=SEED, n_shards=N_SHARDS,
             config=_config("none", retry="none"), budget=FAST_BUDGET)
-        hostile = run_parallel_measurement(
+        hostile = stream_parallel_measurement(
             specs, base_seed=SEED, n_shards=N_SHARDS,
             config=_config("hostile-mix"), budget=FAST_BUDGET)
+        # Exhaust both streams first: perf is set once the rows are out.
+        hostile_rows, polite_rows = list(hostile), list(polite)
         # The hostile run must actually have been exposed to faults...
-        assert any(row.fault_exposure for row in hostile.rows)
+        assert any(row.fault_exposure for row in hostile_rows)
         assert hostile.perf.stats.faults_injected > 0
         # ...while the polite run carries no degradation at all.
-        assert all(not row.degraded for row in polite.rows)
+        assert all(not row.degraded for row in polite_rows)
         assert polite.perf.stats.faults_injected == 0
 
 
@@ -113,13 +115,13 @@ class TestNoFaultsIsExactlyTheSeedPipeline:
 
     def test_default_config_rows_equal_explicit_none_profile_rows(self):
         specs = _specs()
-        defaults = run_parallel_measurement(
+        defaults = stream_parallel_measurement(
             specs, base_seed=SEED, n_shards=N_SHARDS,
             config=WorldConfig(seed=SEED), budget=FAST_BUDGET)
-        explicit = run_parallel_measurement(
+        explicit = stream_parallel_measurement(
             specs, base_seed=SEED, n_shards=N_SHARDS,
             config=_config("none", retry="none"), budget=FAST_BUDGET)
-        assert _row_key(defaults.rows) == _row_key(explicit.rows)
+        assert _row_key(defaults) == _row_key(explicit)
 
     def test_default_rows_export_without_resilience_section(self):
         world = build_world(seed=SEED, lossy_platforms=False)
@@ -161,14 +163,14 @@ class TestWorkerMatrixByteIdentity:
         specs = _specs()
         reference = None
         for workers in (0, 1, 2, 4):
-            result = run_parallel_measurement(
+            streamed = stream_parallel_measurement(
                 specs, base_seed=SEED, workers=workers, n_shards=N_SHARDS,
                 config=_config(profile), budget=FAST_BUDGET,
                 force_pool=workers > 0)
+            key = _row_key(streamed)
             # force_pool really ran a pool (capped by the shard count).
             expected = min(workers, N_SHARDS) if workers else 0
-            assert result.perf.workers == expected
-            key = _row_key(result.rows)
+            assert streamed.perf.workers == expected
             if reference is None:
                 reference = key
             else:

@@ -26,7 +26,6 @@ from repro.study import (
     read_census_manifest,
     read_census_rows,
     stream_parallel_measurement,
-    run_parallel_measurement,
 )
 import repro.study.export as export
 from repro.study.export import MANIFEST_NAME, CensusWriter
@@ -81,9 +80,10 @@ class TestStreamEqualsInMemory:
         assert streamed.aggregates.to_dict() == baseline.aggregates.to_dict()
 
     def test_stream_rows_match_run_parallel(self):
+        """The streamed rows equal the rows a row-keeping census lists."""
         specs = _specs()
-        reference = run_parallel_measurement(
-            specs, base_seed=SEED, n_shards=N_SHARDS, budget=FAST_BUDGET)
+        reference = run_census(specs=specs, seed=SEED, n_shards=N_SHARDS,
+                               budget=FAST_BUDGET)
         streamed = list(stream_parallel_measurement(
             specs, base_seed=SEED, n_shards=N_SHARDS, budget=FAST_BUDGET))
         assert streamed == reference.rows
@@ -316,21 +316,19 @@ class TestFiguresOnStreamedCensus:
         exported = measurements_to_dict(streamed)   # generator, not a list
         assert len(exported) == N_SPECS
 
-        rows = run_parallel_measurement(
-            specs, base_seed=SEED, n_shards=N_SHARDS,
-            budget=FAST_BUDGET).rows
+        rows = list(stream_parallel_measurement(
+            specs, base_seed=SEED, n_shards=N_SHARDS, budget=FAST_BUDGET))
         assert exported == measurements_to_dict(iter(rows))
 
-    def test_figures_run_on_streamed_census(self):
-        """Figure builders work on rows that arrived through the stream."""
-        from repro.study.figures import FigureData, measurements_csv
+    def test_figures_run_on_streamed_census(self, tmp_path):
+        """Figure builders read a streamed census's aggregates."""
+        from repro.study.figures import FigureData
 
-        rows = list(stream_parallel_measurement(
-            _specs(), base_seed=SEED, n_shards=N_SHARDS, budget=FAST_BUDGET))
-        data = FigureData(measurements={"open-resolvers": rows})
+        census, lines = _census(tmp_path, "figures", stream=True)
+        data = FigureData(aggregates={"open-resolvers": census.aggregates})
         assert len(data.cache_series()["open-resolvers"]) == N_SPECS
+        assert len(data.egress_series()["open-resolvers"]) == N_SPECS
         assert sum(data.bubbles("open-resolvers").values()) == N_SPECS
         breakdown = data.ratio_breakdowns()["open-resolvers"]
         assert sum(breakdown.as_dict().values()) == pytest.approx(1.0)
-        csv_text = measurements_csv(data)
-        assert csv_text.count("\n") == N_SPECS + 1
+        assert len(lines) == N_SPECS

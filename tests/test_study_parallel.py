@@ -26,9 +26,9 @@ from repro.study import (
     generate_population,
     plan_shards,
     resolve_workers,
-    run_parallel_measurement,
     run_shard,
     shard_seed,
+    stream_parallel_measurement,
 )
 from repro.study import engine
 from repro.study.parallel import _decode_task, _encode_task
@@ -58,10 +58,10 @@ class TestDeterminismAcrossWorkers:
         specs = _specs(population)
         reference = None
         for workers in (0, 1, 2, 4):
-            result = run_parallel_measurement(
+            rows = stream_parallel_measurement(
                 specs, base_seed=SEED, workers=workers, n_shards=N_SHARDS,
                 budget=FAST_BUDGET)
-            key = _row_key(result.rows)
+            key = _row_key(rows)
             if reference is None:
                 reference = key
             else:
@@ -70,12 +70,12 @@ class TestDeterminismAcrossWorkers:
 
     def test_repeat_runs_are_identical(self):
         specs = _specs("open-resolvers")
-        first = run_parallel_measurement(specs, base_seed=SEED,
-                                         n_shards=N_SHARDS,
-                                         budget=FAST_BUDGET).rows
-        second = run_parallel_measurement(specs, base_seed=SEED,
-                                          n_shards=N_SHARDS,
-                                          budget=FAST_BUDGET).rows
+        first = stream_parallel_measurement(specs, base_seed=SEED,
+                                            n_shards=N_SHARDS,
+                                            budget=FAST_BUDGET)
+        second = stream_parallel_measurement(specs, base_seed=SEED,
+                                             n_shards=N_SHARDS,
+                                             budget=FAST_BUDGET)
         assert _row_key(first) == _row_key(second)
 
     def test_different_seed_reseeds_every_shard_world(self):
@@ -90,37 +90,37 @@ class TestDeterminismAcrossWorkers:
         # (the tight caps here make the measured values themselves exact,
         # hence seed-independent — determinism of the *draws* is covered by
         # the shard-seed assertions above).
-        rows = run_parallel_measurement(specs, base_seed=SEED + 1,
-                                        n_shards=N_SHARDS,
-                                        budget=FAST_BUDGET).rows
+        rows = stream_parallel_measurement(specs, base_seed=SEED + 1,
+                                           n_shards=N_SHARDS,
+                                           budget=FAST_BUDGET)
         assert [row.spec.name for row in rows] == [s.name for s in specs]
 
 
 class TestMerging:
     def test_rows_come_back_in_spec_order(self):
         specs = _specs("open-resolvers")
-        rows = run_parallel_measurement(specs, base_seed=SEED,
-                                        n_shards=N_SHARDS,
-                                        budget=FAST_BUDGET).rows
+        rows = stream_parallel_measurement(specs, base_seed=SEED,
+                                           n_shards=N_SHARDS,
+                                           budget=FAST_BUDGET)
         assert [row.spec.name for row in rows] == [s.name for s in specs]
 
     def test_single_spec_population(self):
         specs = _specs("open-resolvers")[:1]
-        rows = run_parallel_measurement(specs, base_seed=SEED,
-                                        budget=FAST_BUDGET).rows
+        rows = list(stream_parallel_measurement(specs, base_seed=SEED,
+                                                budget=FAST_BUDGET))
         assert len(rows) == 1
         assert rows[0].spec.name == specs[0].name
 
     def test_empty_population(self):
-        result = run_parallel_measurement([], base_seed=SEED,
-                                          budget=FAST_BUDGET)
-        assert result.rows == []
-        assert result.perf.platforms == 0
+        streamed = stream_parallel_measurement([], base_seed=SEED,
+                                               budget=FAST_BUDGET)
+        assert list(streamed) == []
+        assert streamed.perf.platforms == 0
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            run_parallel_measurement(_specs("open-resolvers"),
-                                     workers=-1, budget=FAST_BUDGET)
+            stream_parallel_measurement(_specs("open-resolvers"),
+                                        workers=-1, budget=FAST_BUDGET)
 
 
 class TestWorkerResolution:
@@ -239,15 +239,16 @@ class TestShardPlan:
 class TestPerfCounters:
     def test_perf_is_populated(self):
         specs = _specs("open-resolvers")
-        result = run_parallel_measurement(specs, base_seed=SEED,
-                                          n_shards=N_SHARDS,
-                                          budget=FAST_BUDGET)
-        perf = result.perf
+        streamed = stream_parallel_measurement(specs, base_seed=SEED,
+                                               n_shards=N_SHARDS,
+                                               budget=FAST_BUDGET)
+        assert len(list(streamed)) == len(specs)
+        perf = streamed.perf
         assert perf.platforms == len(specs)
         assert perf.queries_sent > 0
         assert perf.wall_seconds > 0
         assert perf.queries_per_second > 0
-        assert len(perf.shards) == result.n_shards == N_SHARDS
+        assert len(perf.shards) == streamed.n_shards == N_SHARDS
         assert sum(shard.platforms for shard in perf.shards) == len(specs)
         assert perf.busy_seconds > 0
 
@@ -255,9 +256,10 @@ class TestPerfCounters:
         import json
 
         specs = _specs("open-resolvers")[:4]
-        result = run_parallel_measurement(specs, base_seed=SEED,
-                                          n_shards=2, budget=FAST_BUDGET)
-        payload = json.loads(json.dumps(result.perf.to_dict()))
+        streamed = stream_parallel_measurement(specs, base_seed=SEED,
+                                               n_shards=2, budget=FAST_BUDGET)
+        assert len(list(streamed)) == 4
+        payload = json.loads(json.dumps(streamed.perf.to_dict()))
         assert payload["platforms"] == 4
         assert len(payload["shards"]) == 2
 
