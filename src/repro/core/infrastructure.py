@@ -135,7 +135,8 @@ class CdeInfrastructure:
         label = f"{prefix}-{next(self._name_counter)}"
         # Generated labels are valid by construction when the prefix is
         # dot-free; only the length bounds depend on the counter, so the
-        # trusted constructor applies (same object prepend() would build).
+        # trusted constructor applies (same name prepend() would build,
+        # linked to the base domain as its parent).
         budget = self._label_budget
         if budget is None:
             base_labels = self.base_domain.labels
@@ -151,8 +152,8 @@ class CdeInfrastructure:
                 # Already case-folded → hand the folded tuple over too, so
                 # the name's first hash doesn't lazily re-fold it.
                 return DnsName._trusted((label,) + base.labels,
-                                        (label,) + base.folded)
-            return DnsName._trusted((label,) + base.labels)
+                                        (label,) + base.folded, base)
+            return DnsName._trusted((label,) + base.labels, None, base)
         return self.base_domain.prepend(label)
 
     def unique_names(self, count: int, prefix: str = "p") -> list[DnsName]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .message import DnsMessage
+from .wire import message_size_upper_bound, message_wire_size
 
 #: Conventional advertised payload size of modern resolvers.
 DEFAULT_PAYLOAD_SIZE = 4096
@@ -43,8 +44,6 @@ def maybe_truncate(query: DnsMessage, response: DnsMessage,
     """
     if query.via_tcp:
         return response
-    from .wire import message_size_upper_bound, message_wire_size
-
     limit = effective_payload_limit(query, responder_max)
     # The uncompressed upper bound is a superset of the encoded size, so a
     # bound that already fits proves the response fits without encoding it

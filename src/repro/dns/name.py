@@ -10,13 +10,18 @@ parent/ancestor walks, subdomain tests, relativisation and concatenation.
 
 Names are constructed on every probe, every log entry and every zone
 lookup, so construction and comparison are hot paths for population-scale
-measurement runs.  Three mechanisms keep them off the profile:
+measurement runs.  Four mechanisms keep them off the profile:
 
 * case folding is **lazy** — a name folds its labels only when first
   hashed or compared, so display-only names never pay for it;
 * derived names (``parent``, ``prepend``, ``concatenate``) take a private
   **trusted-constructor** path that skips re-validating labels that were
   already validated when the source name was built;
+* every value a name derives from its labels is **derived once** and kept
+  on the name: the folded labels, the hash, the uncompressed wire length
+  and the parent.  ``prepend`` links the child to the name it was built
+  from, so an ancestor walk from a probe name reaches the long-lived base
+  domain and its ancestors, whose hashes are already cached;
 * :meth:`from_text` **interns** parses through a bounded cache, so the
   high-frequency names (zone origins, infrastructure names) are parsed and
   folded exactly once per process.
@@ -58,7 +63,7 @@ class DnsName:
     or from labels with the constructor.
     """
 
-    __slots__ = ("_labels", "_folded", "_hash")
+    __slots__ = ("_labels", "_folded", "_hash", "_parent", "_wire_length")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -70,19 +75,25 @@ class DnsName:
         self._labels = labels
         self._folded: Optional[tuple[str, ...]] = None
         self._hash: Optional[int] = None
+        self._parent: Optional[DnsName] = None
+        self._wire_length: Optional[int] = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...],
-                 folded: Optional[tuple[str, ...]] = None) -> "DnsName":
+                 folded: Optional[tuple[str, ...]] = None,
+                 parent: Optional["DnsName"] = None) -> "DnsName":
         """Build from labels known to be valid (derived from an existing
         name), skipping validation.  ``folded`` may carry the already-folded
-        labels when the source name had folded."""
+        labels when the source name had folded; ``parent`` may carry the
+        name that ``labels[1:]`` spells, when the caller holds it."""
         self = object.__new__(cls)
         self._labels = labels
         self._folded = folded
         self._hash = None
+        self._parent = parent
+        self._wire_length = None
         return self
 
     @classmethod
@@ -100,6 +111,13 @@ class DnsName:
             if stripped.endswith("."):
                 stripped = stripped[:-1]
             result = cls(stripped.split("."))
+            # Link the interned parent, so every cached name under one
+            # parent shares a single ancestor chain instead of memoizing
+            # its own.  (Parsing ``rest`` again would strip it, so a
+            # parent spelled with edge whitespace stays lazy.)
+            rest = stripped.partition(".")[2]
+            if rest == rest.strip():
+                result._parent = cls.from_text(rest)
         if len(_intern_cache) >= _INTERN_CACHE_MAX:
             _intern_cache.clear()
         _intern_cache[key] = result
@@ -117,11 +135,15 @@ class DnsName:
 
     @property
     def folded(self) -> tuple[str, ...]:
-        """Case-folded labels (computed lazily, once)."""
+        """Case-folded labels (computed lazily, once, and handed on to a
+        linked parent that has not folded yet)."""
         folded = self._folded
         if folded is None:
             folded = tuple(lab.lower() for lab in self._labels)
             self._folded = folded
+            parent = self._parent
+            if parent is not None and parent._folded is None:
+                parent._folded = folded[1:]
         return folded
 
     def __str__(self) -> str:
@@ -132,11 +154,23 @@ class DnsName:
     def __repr__(self) -> str:
         return f"DnsName({str(self)!r})"
 
+    @property
+    def wire_length(self) -> int:
+        """Uncompressed wire size: every label with its length octet, plus
+        the root's zero octet (computed lazily, once)."""
+        size = self._wire_length
+        if size is None:
+            size = self._wire_length = self._measure_wire_length()
+        return size
+
+    def _measure_wire_length(self) -> int:
+        labels = self._labels
+        return sum(len(lab) for lab in labels) + len(labels) + 1
+
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = hash(self.folded)
-            self._hash = value
+            value = self._hash = hash(self.folded)
         return value
 
     def __eq__(self, other: object) -> bool:
@@ -144,9 +178,11 @@ class DnsName:
             return True
         if isinstance(other, str):
             other = DnsName.from_text(other)
-        if not isinstance(other, DnsName):
+        elif not isinstance(other, DnsName):
             return NotImplemented
-        return self.folded == other.folded
+        mine, theirs = self._folded, other._folded
+        return ((self.folded if mine is None else mine)
+                == (other.folded if theirs is None else theirs))
 
     def __lt__(self, other: "DnsName") -> bool:
         if not isinstance(other, DnsName):
@@ -167,6 +203,8 @@ class DnsName:
         self._labels = labels
         self._folded = None
         self._hash = None
+        self._parent = None
+        self._wire_length = None
 
     # -- algebra ------------------------------------------------------------
 
@@ -175,26 +213,33 @@ class DnsName:
 
     @property
     def parent(self) -> "DnsName":
-        """The name with the leftmost label removed; the root's parent is
-        the root itself."""
-        if not self._labels:
-            return self
-        folded = self._folded
-        return DnsName._trusted(self._labels[1:],
-                                folded[1:] if folded is not None else None)
+        """The name with the leftmost label removed (built once, then
+        kept); the root's parent is the root itself."""
+        parent = self._parent
+        if parent is None:
+            labels = self._labels
+            if not labels:
+                return self
+            folded = self._folded
+            parent = self._parent = DnsName._trusted(
+                labels[1:], folded[1:] if folded is not None else None)
+        return parent
 
     def ancestors(self, include_self: bool = False) -> Iterator["DnsName"]:
         """Yield ancestors from closest to the root (the root included)."""
         current = self if include_self else self.parent
-        while True:
+        while current._labels:
             yield current
-            if current.is_root():
-                return
             current = current.parent
+        yield current
 
     def is_subdomain_of(self, other: "DnsName") -> bool:
         """True when ``self`` equals ``other`` or sits below it."""
-        own, theirs = self.folded, other.folded
+        own, theirs = self._folded, other._folded
+        if own is None:
+            own = self.folded
+        if theirs is None:
+            theirs = other.folded
         if len(theirs) > len(own):
             return False
         if not theirs:
@@ -216,14 +261,18 @@ class DnsName:
         return self._labels[: len(self._labels) - len(origin._labels)]
 
     def prepend(self, *labels: str) -> "DnsName":
-        """Return a new name with ``labels`` added on the left."""
+        """Return a new name with ``labels`` added on the left, linked to
+        ``self`` through its ancestors."""
         for label in labels:
             _validate_label(label)
         combined = tuple(labels) + self._labels
         text_len = sum(len(lab) for lab in combined) + max(len(combined) - 1, 0)
         if text_len > MAX_NAME_LENGTH:
             raise NameError_(f"name too long ({text_len} > {MAX_NAME_LENGTH})")
-        return DnsName._trusted(combined)
+        result = self
+        for depth in range(len(labels) - 1, -1, -1):
+            result = DnsName._trusted(combined[depth:], None, result)
+        return result
 
     def concatenate(self, suffix: "DnsName") -> "DnsName":
         combined = self._labels + suffix._labels

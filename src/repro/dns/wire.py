@@ -313,31 +313,24 @@ def message_wire_size(message: DnsMessage) -> int:
         _scratch_in_use = False
 
 
-def _name_size_bound(name: DnsName) -> int:
-    """Uncompressed wire size of a name: labels with length prefixes + 0."""
-    labels = name.labels
-    return sum(len(label) for label in labels) + len(labels) + 1
-
-
 def _rdata_size_bound(rdata: Rdata) -> int:
     if isinstance(rdata, ARdata):
         return 4
     if isinstance(rdata, AaaaRdata):
         return 16
     if isinstance(rdata, NsRdata):
-        return _name_size_bound(rdata.nsdname)
+        return rdata.nsdname.wire_length
     if isinstance(rdata, (CnameRdata, PtrRdata)):
-        return _name_size_bound(rdata.target)
+        return rdata.target.wire_length
     if isinstance(rdata, MxRdata):
-        return 2 + _name_size_bound(rdata.exchange)
+        return 2 + rdata.exchange.wire_length
     if isinstance(rdata, TxtRdata):
         # UTF-8 expands at most 4x over the character count.
         return sum(4 * len(string) + 1 for string in rdata.strings)
     if isinstance(rdata, SoaRdata):
-        return (_name_size_bound(rdata.mname) + _name_size_bound(rdata.rname)
-                + 20)
+        return rdata.mname.wire_length + rdata.rname.wire_length + 20
     if isinstance(rdata, SrvRdata):
-        return 6 + _name_size_bound(rdata.target)
+        return 6 + rdata.target.wire_length
     if isinstance(rdata, OpaqueRdata):
         return 4 * len(rdata.text)
     raise WireFormatError(f"cannot size rdata {rdata!r}")
@@ -350,14 +343,15 @@ def message_size_upper_bound(message: DnsMessage) -> int:
     callers that only need "does it fit?" (truncation checks) can skip the
     full encode whenever the bound already fits.  Never smaller than the
     encoded size: compression only shrinks names, and every per-rdata bound
-    is conservative.
+    is conservative.  Each name's uncompressed size is
+    :attr:`DnsName.wire_length`, computed once per name.
     """
     size = 12  # header
     if message.question is not None:
-        size += _name_size_bound(message.question.qname) + 4
+        size += message.question.qname.wire_length + 4
     for section in (message.answers, message.authority, message.additional):
         for record in section:
-            size += _name_size_bound(record.name) + 10
+            size += record.name.wire_length + 10
             size += _rdata_size_bound(record.rdata)
     if message.edns_payload_size is not None:
         size += 11  # root owner + OPT fixed fields

@@ -189,13 +189,18 @@ class Zone:
         """The closest delegation at or above ``qname`` (below the apex)."""
         if not qname.is_subdomain_of(self.origin):
             return None
+        return self._delegation_below_origin(qname)
+
+    def _delegation_below_origin(self, qname: DnsName) -> Optional[DnsName]:
+        """:meth:`delegation_point_for` for a ``qname`` known to be in the
+        zone: every name strictly between it and the apex is one of its
+        first ``len(qname) - len(origin)`` ancestors."""
+        rrsets = self._rrsets
         current = qname
         best: Optional[DnsName] = None
-        while current.is_subdomain_of(self.origin) and current != self.origin:
-            if (current, RRType.NS) in self._rrsets:
+        for _ in range(len(qname) - len(self.origin)):
+            if (current, RRType.NS) in rrsets:
                 best = current
-            if current.is_root():
-                break
             current = current.parent
         return best
 
@@ -216,7 +221,7 @@ class Zone:
         if not qname.is_subdomain_of(self.origin):
             raise ZoneError(f"{qname} is not within zone {self.origin}")
 
-        delegation = self.delegation_point_for(qname)
+        delegation = self._delegation_below_origin(qname)
         if delegation is not None:
             ns_rrset = self._rrsets[(delegation, RRType.NS)]
             return LookupResult(
@@ -256,23 +261,24 @@ class Zone:
         return None
 
     def _wildcard_lookup(self, qname: DnsName, qtype: RRType) -> Optional[LookupResult]:
-        if qname == self.origin:
-            return None
-        # Search for a wildcard at each ancestor within the zone.
-        current = qname.parent
-        while current.is_subdomain_of(self.origin):
-            wildcard = current.prepend(WILDCARD_LABEL)
+        # Search for a wildcard at each ancestor within the zone, from
+        # ``qname``'s parent up to the apex.  ``*`` over the parent of a
+        # valid name is valid, so the wildcard name takes the trusted
+        # constructor.
+        current = qname
+        for _ in range(len(qname) - len(self.origin)):
+            current = current.parent
+            wildcard = DnsName._trusted((WILDCARD_LABEL,) + current.labels,
+                                        (WILDCARD_LABEL,) + current.folded,
+                                        current)
             if wildcard in self._owners:
                 result = self._lookup_at(wildcard, qtype, synthesize_as=qname)
                 if result and result.kind in (LookupKind.ANSWER, LookupKind.CNAME):
                     return result
                 return LookupResult(LookupKind.NODATA, soa=self.soa)
-            if self.name_exists(current):
+            if current in self._extant:
                 # A closer existing name blocks wildcards above it.
                 return None
-            if current == self.origin:
-                break
-            current = current.parent
         return None
 
     def _negative(self, qname: DnsName) -> LookupResult:

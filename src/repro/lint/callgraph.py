@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .astutil import (dotted_name, import_aliases, iter_function_defs,
                       resolve_call_target)
-from .dataflow import (FlowEdge, HandlerSummary, TaintSite, analyze_function)
+from .dataflow import FlowEdge, HandlerSummary, analyze_function
 from .effects import EffectSite, extract_effect_sites
 from .module import ModuleInfo
 from .taint import MUTABLE_CONSTRUCTORS, matches_any
@@ -49,7 +49,8 @@ from .taint import MUTABLE_CONSTRUCTORS, matches_any
 #: checked.
 #: Version 8 dropped the boundedness layer; runtime tests pin what it
 #: checked.
-SUMMARY_VERSION = 8
+#: Version 9 dropped the taint sites, which no rule read.
+SUMMARY_VERSION = 9
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -107,7 +108,6 @@ class FunctionSummary:
     returns_set: bool                  # return annotation is a set type
     # -- dataflow layer (summary version 2) ---------------------------------
     flows: tuple[FlowEdge, ...] = ()           # intraprocedural def-use edges
-    sites: tuple[TaintSite, ...] = ()          # candidate taint-source sites
     handlers: tuple[HandlerSummary, ...] = ()  # except-handler shapes
     global_reads: tuple[str, ...] = ()         # module mutable globals read
     global_mutations: tuple[str, ...] = ()     # ... and mutated
@@ -125,7 +125,6 @@ class FunctionSummary:
             "streams": [call.to_json() for call in self.streams],
             "returns_set": self.returns_set,
             "flows": [edge.to_json() for edge in self.flows],
-            "sites": [site.to_json() for site in self.sites],
             "handlers": [handler.to_json() for handler in self.handlers],
             "global_reads": list(self.global_reads),
             "global_mutations": list(self.global_mutations),
@@ -148,8 +147,6 @@ class FunctionSummary:
             returns_set=bool(raw["returns_set"]),
             flows=tuple(FlowEdge.from_json(e)
                         for e in raw["flows"]),  # type: ignore[union-attr]
-            sites=tuple(TaintSite.from_json(s)
-                        for s in raw["sites"]),  # type: ignore[union-attr]
             handlers=tuple(HandlerSummary.from_json(h)
                            for h in raw["handlers"]),  # type: ignore[union-attr]
             global_reads=tuple(
@@ -393,7 +390,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             streams=_stream_calls(func),
             returns_set=annotation_is_set(func.returns),
             flows=flow.flows,
-            sites=flow.sites,
             handlers=flow.handlers,
             # free names only resolve to this module's globals, so the
             # intersection keeps summaries small without losing a capture

@@ -28,10 +28,9 @@ local names to origin sets:
   argument.
 
 The same pass records what the provenance rules need beyond flows:
-candidate taint *sites* (presence of a source in a function), ``try``
-handler shapes (CDE013), and free-variable reads/mutations (CDE012's
-module-global capture check — the caller intersects them with the
-module's mutable globals so summaries stay small).
+``try`` handler shapes (CDE013) and free-variable reads/mutations
+(CDE012's module-global capture check — the caller intersects them with
+the module's mutable globals so summaries stay small).
 
 Everything is bounded (origins per name, hops per chain, loop passes,
 edges per function) so a pathological function degrades to an
@@ -48,7 +47,6 @@ from typing import Optional
 from .astutil import resolve_call_target
 from .taint import (
     CANDIDATE_ATTR_SUFFIXES,
-    CANDIDATE_SITE_CALLS,
     MUTATOR_METHODS,
     PASSTHROUGH_CALLS,
     matches_any,
@@ -91,23 +89,6 @@ class FlowEdge:
 
 
 @dataclass(frozen=True, order=True)
-class TaintSite:
-    """Presence of one candidate source in a function (dotted form)."""
-
-    key: str
-    line: int
-    col: int
-
-    def to_json(self) -> list[object]:
-        return [self.key, self.line, self.col]
-
-    @classmethod
-    def from_json(cls, raw: list[object]) -> "TaintSite":
-        return cls(key=str(raw[0]), line=int(raw[1]),  # type: ignore[arg-type]
-                   col=int(raw[2]))
-
-
-@dataclass(frozen=True, order=True)
 class HandlerSummary:
     """Shape of one ``except`` handler, as CDE013 needs it."""
 
@@ -136,7 +117,6 @@ class FlowResult:
     """Everything one function contributes to the dataflow summaries."""
 
     flows: tuple[FlowEdge, ...]
-    sites: tuple[TaintSite, ...]
     handlers: tuple[HandlerSummary, ...]
     free_reads: frozenset[str]       # free Name loads (raw, un-intersected)
     free_mutations: frozenset[str]   # free names stored-into / mutated
@@ -247,7 +227,6 @@ class _Scanner:
         self.params = _param_names(func)
         self.bound = _bound_names(func)
         self.edges: dict[tuple[str, int, str, int], FlowEdge] = {}
-        self.sites: dict[tuple[str, int, int], TaintSite] = {}
         self.free_reads: set[str] = set()
         self.free_mutations: set[str] = set()
         self.env: _Env = {}
@@ -322,11 +301,6 @@ class _Scanner:
             self.edges[mark] = FlowEdge(
                 src=key, src_line=src_line, sink=sink, line=line, col=col,
                 hops=tuple(hops))
-
-    def _site(self, dotted: str, line: int, col: int) -> None:
-        mark = (dotted, line, col)
-        if mark not in self.sites:
-            self.sites[mark] = TaintSite(key=dotted, line=line, col=col)
 
     # -- statements ---------------------------------------------------------
 
@@ -496,7 +470,6 @@ class _Scanner:
                     dotted.endswith(suffix)
                     for suffix in CANDIDATE_ATTR_SUFFIXES):
                 key = f"attr:{dotted}"
-                self._site(dotted, node.lineno, node.col_offset)
                 return self._merge_sets(
                     base, {key: (key, node.lineno, ())})
             return base
@@ -634,8 +607,6 @@ class _Scanner:
             for origin in origins.values():
                 self._edge(origin, f"arg:{dotted}:{spec}", node.lineno,
                            node.col_offset)
-        if matches_any(dotted, CANDIDATE_SITE_CALLS):
-            self._site(dotted, node.lineno, node.col_offset)
         key = f"call:{dotted}@{node.lineno}"
         return {key: (key, node.lineno, ())}
 
@@ -717,7 +688,6 @@ def analyze_function(func: ast.FunctionDef | ast.AsyncFunctionDef,
     scanner = _Scanner(func, aliases)
     return FlowResult(
         flows=tuple(sorted(scanner.edges.values())),
-        sites=tuple(sorted(scanner.sites.values())),
         handlers=_handler_summaries(func),
         free_reads=frozenset(scanner.free_reads),
         free_mutations=frozenset(scanner.free_mutations),

@@ -127,11 +127,6 @@ CANDIDATE_ATTR_SUFFIXES: tuple[str, ...] = (
     ".rtt", ".dns_rtt", ".now",
 )
 
-#: Call patterns recorded as taint *sites* (presence, not flow).
-CANDIDATE_SITE_CALLS: frozenset[str] = (
-    FORK_UNSAFE_CALLS | TIMING_CALL_SOURCES
-)
-
 #: Calls that pass taint straight through from arguments to result
 #: (value-preserving transforms; ``len`` is deliberately absent — a
 #: count of samples is not the samples).

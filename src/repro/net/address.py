@@ -11,6 +11,7 @@ generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 
@@ -25,6 +26,17 @@ def ip_to_int(address: str) -> int:
             raise ValueError(f"bad IPv4 address {address!r}")
         value = (value << 8) | octet
     return value
+
+
+#: Bound on the parsed-address cache behind :meth:`Prefix.contains`.
+#: Fault scopes and resolver ACLs test the same endpoint addresses on
+#: every query attempt; a census shard talks to a few thousand at most,
+#: and past the bound the least recently used address is parsed again.
+_ADDRESS_CACHE_MAX = 4096
+
+#: :func:`ip_to_int` memoised per address string.  A malformed address
+#: raises on every call: ``lru_cache`` never stores an exception.
+_address_int = lru_cache(maxsize=_ADDRESS_CACHE_MAX)(ip_to_int)
 
 
 def int_to_ip(value: int) -> str:
@@ -53,7 +65,7 @@ class Prefix:
         base_text, _, length_text = text.partition("/")
         return cls(ip_to_int(base_text), int(length_text))
 
-    @property
+    @cached_property
     def netmask(self) -> int:
         return (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF
 
@@ -62,7 +74,7 @@ class Prefix:
         return 2 ** (32 - self.length)
 
     def contains(self, address: str) -> bool:
-        return (ip_to_int(address) & self.netmask) == self.base
+        return (_address_int(address) & self.netmask) == self.base
 
     def addresses(self) -> Iterator[str]:
         for offset in range(self.size):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -108,6 +109,11 @@ class FaultRule:
     #: ``RATE_LIMIT`` only: requests allowed per destination per window.
     burst: int = 0
     burst_window: float = 1.0
+    #: ``dst_prefix``/``src_prefix`` parsed, set by ``__post_init__``.
+    _dst: Optional[Prefix] = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _src: Optional[Prefix] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
@@ -133,10 +139,10 @@ class FaultRule:
             return False  # TCP answers are never truncated
         if not self.window.contains(now):
             return False
-        dst: Optional[Prefix] = getattr(self, "_dst")
+        dst = self._dst
         if dst is not None and not dst.contains(dst_ip):
             return False
-        src: Optional[Prefix] = getattr(self, "_src")
+        src = self._src
         if src is not None and not src.contains(src_ip):
             return False
         return True
@@ -213,7 +219,7 @@ class FaultInjector:
         self.clock = clock
         self.rng = rng
         self.exposure = FaultExposure()
-        self._request_times: dict[tuple[int, str], list[float]] = {}
+        self._request_times: dict[tuple[int, str], deque[float]] = {}
 
     def decide(self, src_ip: str, dst_ip: str,
                via_tcp: bool = False) -> Optional[FaultDecision]:
@@ -239,10 +245,12 @@ class FaultInjector:
                     now: float) -> bool:
         """Sliding-window request counting; purely clock-driven."""
         key = (index, dst_ip)
-        times = self._request_times.setdefault(key, [])
+        times = self._request_times.get(key)
+        if times is None:
+            times = self._request_times[key] = deque()
         horizon = now - rule.burst_window
         while times and times[0] <= horizon:
-            times.pop(0)
+            times.popleft()
         times.append(now)
         return len(times) > rule.burst
 

@@ -26,7 +26,7 @@ from ..dns.errors import (
     ResolutionError,
 )
 from ..dns.message import DnsMessage
-from ..dns.name import DnsName
+from ..dns.name import ROOT, DnsName
 from ..dns.record import CnameRdata, NsRdata, ResourceRecord, RRSet, group_rrsets
 from ..dns.rrtype import RCode, RRType
 from ..cache.cache import DnsCache
@@ -323,6 +323,4 @@ class IterativeResolver:
                     ips.extend(r.rdata.address for r in address_entry.rrset)  # type: ignore[attr-defined]
             if ips:
                 return zone, ips
-        from ..dns.name import ROOT
-
         return ROOT, list(self.root_hint_ips)

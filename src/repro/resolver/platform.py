@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from ..cache.cache import DnsCache
@@ -33,6 +34,7 @@ from ..dns.message import DnsMessage
 from ..dns.name import DnsName
 from ..dns.record import CnameRdata, RRSet
 from ..dns.rrtype import RCode, RRType
+from ..net.address import Prefix
 from ..net.network import LinkProfile, Network
 from ..net.rng import fallback_rng
 from .iterative import IterativeResolver, ResolutionResult
@@ -187,9 +189,7 @@ class ResolutionPlatform:
         if message.is_response or message.question is None:
             return None
         if self.config.open_to is not None:
-            from ..net.address import Prefix
-
-            if not Prefix.from_text(self.config.open_to).contains(src_ip):
+            if not _open_to_prefix(self.config.open_to).contains(src_ip):
                 return message.make_response(RCode.REFUSED)
         if not message.recursion_desired:
             # We are a resolver, not an authority.
@@ -260,12 +260,14 @@ class ResolutionPlatform:
 
     def _pick_cache(self, context: QueryContext) -> Optional[DnsCache]:
         """Load-balance to one online cache; exactly one cache is probed."""
-        online = [index for index in range(len(self.caches))
-                  if index not in self._offline_caches]
-        if not online:
-            return None
+        offline = self._offline_caches
+        if offline:
+            online = [index for index in range(len(self.caches))
+                      if index not in offline]
+            if not online:
+                return None
         index = self.cache_selector.select(context, len(self.caches))
-        if index in self._offline_caches:
+        if index in offline:
             # Fail over deterministically to the next online cache.
             index = online[index % len(online)]
         return self.caches[index]
@@ -384,6 +386,12 @@ class ResolutionPlatform:
                 f"ingress={len(self.config.ingress_ips)}, "
                 f"caches={self.config.n_caches}, "
                 f"egress={len(self.config.egress_ips)})")
+
+
+@lru_cache(maxsize=64)
+def _open_to_prefix(open_to: str) -> Prefix:
+    """``PlatformConfig.open_to`` parsed once per distinct value."""
+    return Prefix.from_text(open_to)
 
 
 class _EgressStub:

@@ -20,8 +20,9 @@ from repro.dns import (
     soa_record,
     txt_record,
 )
+from repro.dns.edns import effective_payload_limit, maybe_truncate
 from repro.dns.name import DnsName
-from repro.dns.wire import exceeds_payload
+from repro.dns.wire import exceeds_payload, message_size_upper_bound
 
 
 def roundtrip(message):
@@ -156,3 +157,65 @@ class TestProperties:
             response.add_answer([a_record(owner, f"10.1.{index % 250}.9",
                                           ttl=ttl)])
         assert roundtrip(response).answers == response.answers
+
+
+_MIXED_LABEL = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
+    min_size=1, max_size=63)
+_SIZED_NAME = st.lists(_MIXED_LABEL, min_size=0, max_size=4).filter(
+    lambda labels: sum(map(len, labels)) + len(labels) <= 254).map(DnsName)
+_TXT_STRING = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60)
+_ADDRESS = st.tuples(*[st.integers(0, 255)] * 4).map(
+    lambda octets: ".".join(map(str, octets)))
+_RECORD = st.one_of(
+    st.builds(a_record, _SIZED_NAME, _ADDRESS),
+    st.builds(ns_record, _SIZED_NAME, _SIZED_NAME),
+    st.builds(cname_record, _SIZED_NAME, _SIZED_NAME),
+    st.builds(mx_record, _SIZED_NAME, st.integers(0, 65535), _SIZED_NAME),
+    st.builds(lambda owner, strings: txt_record(owner, *strings),
+              _SIZED_NAME, st.lists(_TXT_STRING, min_size=1, max_size=3)),
+    st.builds(soa_record, _SIZED_NAME, _SIZED_NAME, _SIZED_NAME))
+
+
+class TestSizeUpperBound:
+    """``message_size_upper_bound`` is what lets ``maybe_truncate`` skip
+    the encoder; it must never undercount."""
+
+    @staticmethod
+    def _response(qname, answers, authority, additional, edns):
+        query = DnsMessage.make_query(qname, RRType.A, edns_payload_size=edns)
+        response = query.make_response()
+        response.answers.extend(answers)
+        response.authority.extend(authority)
+        response.additional.extend(additional)
+        return query, response
+
+    @settings(max_examples=150)
+    @given(qname=_SIZED_NAME,
+           answers=st.lists(_RECORD, max_size=6),
+           authority=st.lists(_RECORD, max_size=3),
+           additional=st.lists(_RECORD, max_size=3),
+           edns=st.sampled_from([None, 512, 1232, 4096]))
+    def test_bound_covers_the_encoded_size(self, qname, answers, authority,
+                                           additional, edns):
+        _, response = self._response(qname, answers, authority, additional,
+                                     edns)
+        assert message_size_upper_bound(response) >= \
+            message_wire_size(response)
+
+    @settings(max_examples=150)
+    @given(qname=_SIZED_NAME,
+           answers=st.lists(_RECORD, max_size=12),
+           edns=st.sampled_from([None, 512, 1232, 4096]),
+           responder_max=st.sampled_from([None, 512, 1232, 4096]))
+    def test_maybe_truncate_returns_the_response_when_it_fits(
+            self, qname, answers, edns, responder_max):
+        query, response = self._response(qname, answers, [], [], edns)
+        limit = effective_payload_limit(query, responder_max)
+        result = maybe_truncate(query, response, responder_max)
+        if message_wire_size(response) <= limit:
+            assert result is response
+        else:
+            assert result is not response
+            assert result.truncated and not result.answers

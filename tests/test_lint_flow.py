@@ -80,7 +80,6 @@ def test_candidate_attr_read_becomes_origin_and_site():
     )
     assert any(e.src == "attr:probe.rtt" and e.sink == "return"
                for e in result.flows)
-    assert any(site.key == "probe.rtt" for site in result.sites)
 
 
 def test_comparison_result_is_clean():

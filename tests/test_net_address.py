@@ -1,9 +1,17 @@
 """Tests for IPv4 addresses, prefixes and allocators."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.net import AddressAllocator, AddressPool, Prefix, int_to_ip, ip_to_int
+from repro.net import address as address_module
+from repro.net.faults import (
+    CLIENT_PREFIX,
+    INFRASTRUCTURE_PREFIX,
+    PLATFORM_PREFIX,
+    FaultKind,
+    FaultRule,
+)
 
 
 class TestConversions:
@@ -64,6 +72,64 @@ class TestPrefix:
         prefix = Prefix.from_text("192.0.2.1/32")
         assert prefix.size == 1
         assert prefix.contains("192.0.2.1")
+
+
+SCOPES = (PLATFORM_PREFIX, INFRASTRUCTURE_PREFIX, CLIENT_PREFIX,
+          "192.0.2.1/32", "0.0.0.0/0")
+
+
+def _fresh_contains(prefix_text: str, address: str) -> bool:
+    """Membership from scratch: no shared parse, no cached mask."""
+    base_text, _, length_text = prefix_text.partition("/")
+    length = int(length_text)
+    mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+    return ip_to_int(address) & mask == ip_to_int(base_text)
+
+
+class TestCachedScopeMatching:
+    """Fault scopes and resolver ACLs parse each address once, bounded."""
+
+    EDGES = ("10.0.0.0", "10.255.255.255", "9.255.255.255", "11.0.0.0",
+             "203.0.113.0", "203.0.113.255", "203.0.114.0", "203.0.112.255",
+             "172.16.0.0", "172.31.255.255", "172.32.0.0", "172.15.255.255",
+             "192.0.2.1", "192.0.2.0", "192.0.2.2", "0.0.0.0",
+             "255.255.255.255")
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 2 ** 32 - 1), max_size=20))
+    def test_agrees_with_a_fresh_parse_over_a_sweep(self, values):
+        addresses = self.EDGES + tuple(int_to_ip(v) for v in values)
+        for text in SCOPES:
+            prefix = Prefix.from_text(text)
+            rule = FaultRule(FaultKind.DROP_REQUEST, dst_prefix=text,
+                             src_prefix=text)
+            for address in addresses + addresses:   # cold, then cached
+                expected = _fresh_contains(text, address)
+                assert prefix.contains(address) is expected
+                assert rule.matches(address, address, 0.0, False) is expected
+                assert rule.matches(address, "198.51.100.1", 0.0, False) is \
+                    (expected and _fresh_contains(text, "198.51.100.1"))
+
+    @pytest.mark.parametrize("bad", ["1.2.3", "10.0.0.256", "a.b.c.d",
+                                     "10.0.0.1.5", ""])
+    def test_malformed_address_raises_on_every_call(self, bad):
+        prefix = Prefix.from_text(PLATFORM_PREFIX)
+        rule = FaultRule(FaultKind.DROP_REQUEST, dst_prefix=PLATFORM_PREFIX)
+        cached = address_module._address_int.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                prefix.contains(bad)
+            with pytest.raises(ValueError):
+                rule.matches("172.16.0.1", bad, 0.0, False)
+        assert address_module._address_int.cache_info().currsize <= cached
+
+    def test_address_cache_is_bounded(self):
+        bound = address_module._ADDRESS_CACHE_MAX
+        assert address_module._address_int.cache_info().maxsize == bound
+        prefix = Prefix.from_text(PLATFORM_PREFIX)
+        for offset in range(bound + 500):
+            assert prefix.contains(int_to_ip(prefix.base + offset))
+        assert address_module._address_int.cache_info().currsize == bound
 
 
 class TestAddressPool:
