@@ -34,29 +34,9 @@ ARTIFACT = REPO_ROOT / "BENCH_lint.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.lint import LintConfig, run_lint  # noqa: E402
-from repro.lint.callgraph import summarize_module  # noqa: E402
-from repro.lint.engine import _parse, iter_python_files  # noqa: E402
-from repro.lint.sync import collect_bindings  # noqa: E402
 
 REPEATS = 3
 MIN_SPEEDUP = 3.0
-
-
-def _count_replica_pairs(config: LintConfig, src: Path) -> int:
-    """Checked cdesync pairs in the tree (the CDE015 workload size).
-
-    Trace extraction and the replica-equivalence proof are part of the
-    cold leg since the cdesync rules landed; recording the pair count in
-    the artifact keeps the cold/warm numbers interpretable as that
-    workload grows.
-    """
-    summaries = {}
-    for path in iter_python_files([src], config):
-        rel = path.as_posix()
-        summaries[rel] = summarize_module(
-            _parse(path, rel, path.read_text(encoding="utf-8")))
-    bindings, _errors = collect_bindings(summaries, config)
-    return sum(1 for binding in bindings if binding.checked)
 
 
 def _lint_source_lines(src: Path) -> int:
@@ -116,7 +96,6 @@ def run_benchmark() -> dict:
                     len(edited.effects_recomputed),
             }
 
-        counters["replica_pairs_checked"] = _count_replica_pairs(config, tree)
         counters["lint_source_lines"] = _lint_source_lines(tree)
 
     cold_s, warm_s, edit_s = min(cold_times), min(warm_times), min(edit_times)
@@ -141,7 +120,6 @@ def test_warm_cache_is_at_least_3x_faster() -> None:
     payload = run_benchmark()
     assert payload["reanalyzed_warm"] == 0
     assert payload["reanalyzed_after_edit"] == 1
-    assert payload["replica_pairs_checked"] >= 1
     assert payload["warm_speedup"] >= MIN_SPEEDUP, payload
 
 

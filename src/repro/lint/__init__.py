@@ -22,8 +22,6 @@ CDE010    timing-taint            raw latencies reach sinks only classified
 CDE012    capture-safety          shard workers capture no mutable state
 CDE013    error-provenance        probe handlers keep failure history
 CDE014    unused-suppression      waivers must waive something (opt-in)
-CDE015    replica-drift           fused replicas keep their original's trace
-CDE016    layout-drift            built ``__dict__`` order matches the fields
 ========  ======================  ==========================================
 
 CDE004 and CDE007–CDE009 are whole-program rules: they run on a

@@ -1,6 +1,6 @@
 """Incremental analysis cache (``.cdelint_cache/``).
 
-The cache stores four things, all keyed so that staleness is impossible
+The cache stores three things, all keyed so that staleness is impossible
 by construction:
 
 * **Per-file summaries** (:class:`~repro.lint.callgraph.ModuleSummary`),
@@ -17,12 +17,6 @@ by construction:
   (:meth:`repro.lint.effects.EffectAnalysis.build`); when the defined-
   name index changed (a function was added/renamed), name-based binding
   may have changed anywhere and the signatures are discarded wholesale.
-* **Replica-equivalence verdicts** (CDE015), keyed by a digest over the
-  config and every stored effect trace and binding
-  (:func:`repro.lint.sync.sync_digest`) — the NFA inclusion checks are
-  the one project analysis whose cost is independent of how many files
-  changed, so their findings replay from cache whenever no trace,
-  binding or config byte moved.
 
 The whole cache is one JSON document written atomically (tmp + rename),
 so a crashed or raced run can only ever lose the cache, never corrupt a
@@ -89,7 +83,6 @@ class AnalysisCache:
                    "files": {}, "effects": {}}
         raw.setdefault("files", {})
         raw.setdefault("effects", {})
-        raw.setdefault("sync", {})
         return raw
 
     # -- per-file summaries -------------------------------------------------
@@ -158,27 +151,6 @@ class AnalysisCache:
                          signatures: dict[str, list[str]]) -> None:
         self._data["effects"] = {"binding": binding_fingerprint,
                                  "signatures": signatures}
-        self._dirty = True
-
-    # -- replica-equivalence verdicts (CDE015) ------------------------------
-
-    def lookup_sync(self, digest: str) -> Optional[list[Finding]]:
-        """Cached CDE015 findings for a run digest (pre-suppression)."""
-        blob = self._data.get("sync", {})
-        if blob.get("digest") != digest:
-            return None
-        raw = blob.get("findings")
-        if not isinstance(raw, list):
-            return None
-        try:
-            return [_finding_from_json(item) for item in raw]
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def store_sync(self, digest: str, findings: list[Finding]) -> None:
-        self._data["sync"] = {
-            "digest": digest,
-            "findings": [_finding_to_json(f) for f in findings]}
         self._dirty = True
 
     # -- lifecycle ----------------------------------------------------------

@@ -50,7 +50,8 @@ from .taint import MUTABLE_CONSTRUCTORS, matches_any
 #: Version 8 dropped the boundedness layer; runtime tests pin what it
 #: checked.
 #: Version 9 dropped the taint sites, which no rule read.
-SUMMARY_VERSION = 9
+#: Version 10 dropped the cdesync layer; a runtime differential pins it.
+SUMMARY_VERSION = 10
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -112,9 +113,6 @@ class FunctionSummary:
     global_reads: tuple[str, ...] = ()         # module mutable globals read
     global_mutations: tuple[str, ...] = ()     # ... and mutated
     params: tuple[str, ...] = ()               # parameter names ("*" marker)
-    # -- cdesync layer (summary version 3) ----------------------------------
-    trace_json: str = ""               # effect trace (repro.lint.trace), or ""
-    replica_of: str = ""               # ``# cdelint: replica-of=`` target
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -129,8 +127,6 @@ class FunctionSummary:
             "global_reads": list(self.global_reads),
             "global_mutations": list(self.global_mutations),
             "params": list(self.params),
-            "trace": self.trace_json,
-            "replica_of": self.replica_of,
         }
 
     @classmethod
@@ -154,8 +150,6 @@ class FunctionSummary:
             global_mutations=tuple(
                 str(n) for n in raw["global_mutations"]),  # type: ignore[union-attr]
             params=tuple(str(p) for p in raw["params"]),  # type: ignore[union-attr]
-            trace_json=str(raw.get("trace", "")),
-            replica_of=str(raw.get("replica_of", "")),
         )
 
 
@@ -171,8 +165,6 @@ class ModuleSummary:
     file_suppressions: tuple[str, ...] = ()
     #: module-level names bound to mutable containers (name -> def line)
     mutable_globals: dict[str, int] = field(default_factory=dict)
-    #: ordered field names of @dataclass classes (cdesync / CDE016)
-    dataclass_fields: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         from .module import SUPPRESS_ALL
@@ -198,10 +190,6 @@ class ModuleSummary:
                 name: line
                 for name, line in sorted(self.mutable_globals.items())
             },
-            "dataclass_fields": {
-                name: list(fields)
-                for name, fields in sorted(self.dataclass_fields.items())
-            },
         }
 
     @classmethod
@@ -223,11 +211,6 @@ class ModuleSummary:
             mutable_globals={
                 str(name): int(line)  # type: ignore[call-overload]
                 for name, line in raw["mutable_globals"].items()  # type: ignore[union-attr]
-            },
-            dataclass_fields={
-                str(name): tuple(str(f) for f in fields)
-                for name, fields in raw.get(  # type: ignore[union-attr]
-                    "dataclass_fields", {}).items()
             },
         )
 
@@ -364,22 +347,14 @@ def _mutable_global_defs(tree: ast.Module,
 
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
     """Build the project-rule summary of one parsed file."""
-    import json as _json
-
     from .astutil import annotation_is_set
-    from .trace import (extract_trace, has_effect_nodes,
-                        module_dataclass_fields, module_object_aliases,
-                        parse_replica_markers, replica_marker_for)
 
     aliases = import_aliases(module.tree)
     mutable_globals = _mutable_global_defs(module.tree, aliases)
     global_names = frozenset(mutable_globals)
-    objnew, objsetattr = module_object_aliases(module.tree)
-    markers = parse_replica_markers(module.source)
     functions: list[FunctionSummary] = []
     for func, qualname, _is_method in iter_function_defs(module.tree):
         flow = analyze_function(func, aliases)
-        trace = extract_trace(func, objnew, objsetattr)
         functions.append(FunctionSummary(
             qualname=qualname,
             name=func.name,
@@ -397,9 +372,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             global_mutations=tuple(sorted(
                 flow.free_mutations & global_names)),
             params=flow.params,
-            trace_json=(_json.dumps(trace, separators=(",", ":"))
-                        if has_effect_nodes(trace) else ""),
-            replica_of=replica_marker_for(markers, func),
         ))
     functions.sort(key=lambda f: (f.line, f.col, f.qualname))
     return ModuleSummary(
@@ -414,7 +386,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                            module.line_suppressions.items()},
         file_suppressions=tuple(sorted(module.file_suppressions)),
         mutable_globals=mutable_globals,
-        dataclass_fields=module_dataclass_fields(module.tree),
     )
 
 

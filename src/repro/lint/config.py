@@ -128,50 +128,6 @@ class LintConfig:
     #: Exception types carrying AttemptRecord history (CDE013): catching
     #: one without using or re-raising it discards the history.
     probe_history_types: tuple[str, ...] = ("ProbeFailure",)
-    #: cdesync (CDE015) RNG-callable table: ``name=method`` maps a call
-    #: whose resolved chain *ends* in ``name`` to a canonical RNG method
-    #: token.  ``randbelow`` is the canonical form of ``randrange`` and
-    #: ``randint``; the ``*_randrange`` and ``sel_state`` entries are the
-    #: fused corridor's bound ``randrange`` slots.
-    trace_rng_callables: tuple[str, ...] = (
-        "random=random", "gauss=gauss", "uniform=uniform",
-        "choice=choice", "shuffle=shuffle",
-        "randrange=randbelow", "randint=randbelow",
-        "rng_random=random", "rng_gauss=gauss",
-        "prober_randrange=randbelow", "platform_randrange=randbelow",
-        "egress_randrange=randbelow", "sel_state=randbelow",
-    )
-    #: cdesync container attributes: a call whose resolved chain passes
-    #: *through* one of these is a container read/helper and emits no
-    #: trace token (mutations still label by the container attribute).
-    #: ``sel_state`` doubles as the fused selector scratch slot (its memo
-    #: is a deterministic cache of a pure hash, so its mutations are
-    #: unobservable by design).
-    trace_containers: tuple[str, ...] = (
-        "_entries", "_rrsets", "_by_qname", "_by_suffix", "_timestamps",
-        "_frontend_table", "_marks", "_load", "sel_state", "corridor",
-        "suffix_tails",
-    )
-    #: cdesync observable state attributes (underscore-stripped): only
-    #: mutations of these labels appear in canonical traces, and a write
-    #: through a :attr:`trace_containers` slot is never observable
-    #: regardless of label.  ``_now`` is always observable (the clock
-    #: token) and need not be listed.
-    trace_state_attrs: tuple[str, ...] = (
-        "hits", "misses", "insertions", "evictions", "expirations",
-        "queries", "cache_hits", "cache_misses", "upstream_queries",
-        "failures", "frontend_collapsed", "prefetches", "queries_sent",
-        "messages_sent", "messages_delivered", "requests_lost",
-        "responses_lost", "timeouts", "retransmissions", "faults_injected",
-        "next", "sequence", "last_used",
-    )
-    #: cdesync replica bindings beyond the in-source ``# cdelint:
-    #: replica-of=`` markers: ``path-suffix::qualname=dotted.original``.
-    replicas: tuple[str, ...] = ()
-    #: Replica bindings to *canonicalize but not check* (CDE015): the
-    #: pair still collapses to a sync token inside other checked pairs,
-    #: recording equivalence as an assumption rather than a proof.
-    replicas_assume: tuple[str, ...] = ()
     #: Rule IDs disabled globally.
     disable: tuple[str, ...] = ()
 

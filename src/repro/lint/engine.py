@@ -39,7 +39,6 @@ from .findings import Finding, LintReport
 from .module import (SUPPRESS_ALL, ModuleInfo, ModuleParseError,
                      SuppressionKey, parse_suppressions, suppression_hits)
 from .registry import ProjectContext, Rule, all_rules, instantiate
-from .sync import sync_digest
 
 #: Rule id of the engine-implemented unused-suppression audit.
 UNUSED_SUPPRESSION_RULE = "CDE014"
@@ -228,7 +227,6 @@ def run_lint(paths: Sequence[Path | str],
     # Stage 3: project rules over summaries, with incremental effect
     # propagation when the binding environment is unchanged.
     fingerprint = None
-    sync_key = None
     if cache:
         fingerprint = ctx.graph.binding_fingerprint()
         cached_raw = cache.lookup_signatures(fingerprint)
@@ -236,9 +234,6 @@ def run_lint(paths: Sequence[Path | str],
             ctx.cached_signatures = EffectAnalysis.signatures_from_json(
                 cached_raw)
             ctx.dirty_rels = frozenset(resummarized)
-        if any(rule.rule_id == "CDE015" for rule in rules):
-            sync_key = sync_digest(summaries, config)
-            ctx.cached_sync = cache.lookup_sync(sync_key)
     for rule in rules:
         tick = time.perf_counter()
         project_findings = list(rule.check_project(ctx))
@@ -256,8 +251,6 @@ def run_lint(paths: Sequence[Path | str],
 
     if cache and fingerprint is not None:
         cache.store_signatures(fingerprint, ctx.effects.to_json())
-        if sync_key is not None and ctx.computed_sync is not None:
-            cache.store_sync(sync_key, ctx.computed_sync)
         cache.save()
 
     if audit_unused:

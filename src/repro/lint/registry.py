@@ -44,12 +44,6 @@ class ProjectContext:
     #: are set, effect propagation touches only the dirty subgraph.
     cached_signatures: Optional[dict[str, frozenset[Effect]]] = None
     dirty_rels: Optional[frozenset[str]] = None
-    #: CDE015 verdict replay: findings cached under the run's sync digest
-    #: (set by the engine on a warm hit), and the freshly computed
-    #: findings the rule hands back for storing (pre-suppression, so the
-    #: CDE014 accounting is byte-identical cold vs warm).
-    cached_sync: Optional[list[Finding]] = None
-    computed_sync: Optional[list[Finding]] = None
     _graph: Optional[CallGraph] = field(default=None, repr=False)
     _effects: Optional[EffectAnalysis] = field(default=None, repr=False)
 

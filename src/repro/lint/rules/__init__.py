@@ -14,7 +14,6 @@ from . import (  # noqa: F401
     mutable_defaults,
     public_annotations,
     randomness,
-    replica_sync,
     rng_streams,
     shard_purity,
     timing_taint,

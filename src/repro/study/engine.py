@@ -24,7 +24,11 @@ event-driven scheduler:
   walk collapse into a memoized fast path (see below).  Any structural
   surprise (retry policies, fault injectors, closed resolvers, frontend
   dedup, unexpected authority sets, exotic link models...) falls back to
-  the real code path, which is always correct.
+  the real code path, which is always correct.  The replication is pinned
+  at run time: ``TestFusedCorridorEquivalence`` in
+  ``tests/test_study_parallel.py`` runs hypothesis-drawn shards with the
+  fast plan on and off and compares every counter, cache entry, RNG
+  stream, log entry and built object layout.
 
 The fast path rests on one structural fact the engine controls: corridor
 probe names come from ``cde.unique_name``/``unique_names`` *immediately*
@@ -551,7 +555,6 @@ class _FastPlan:
                     if profile is not None], cold)
 
 
-# cdelint: replica-of=repro.net.network.Network._traverse
 def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
          ) -> tuple[bool, float]:
     """``Network._traverse`` inlined for the gated link models.
@@ -571,7 +574,6 @@ def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
     return lost, latency
 
 
-# cdelint: replica-of=repro.core.prober.DirectProber.probe
 def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     """One direct probe through the fused corridor.
 
@@ -630,7 +632,6 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     return False
 
 
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform.resolve_for_client
 def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
     """``resolve_for_client`` minus response assembly (nobody reads it)."""
     platform = plan.platform
@@ -693,7 +694,6 @@ def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
     _fused_resolve_chain(plan, cache, cache_index, qname, qtype)
 
 
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform._answer_from
 def _fused_resolve_chain(plan: _FastPlan, cache: DnsCache, cache_index: int,
                          qname: DnsName, qtype: RRType) -> None:
     """The generic CNAME-chain walk of ``_answer_from`` (rare path)."""
@@ -728,7 +728,6 @@ def _fused_resolve_chain(plan: _FastPlan, cache: DnsCache, cache_index: int,
     return  # chain too long: SERVFAIL without a failures increment
 
 
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform._resolve_upstream
 def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
                     qname: DnsName, qtype: RRType) -> bool:
     """Fused ``_resolve_upstream`` for the single-authority CDE case.

@@ -140,13 +140,22 @@ def test_corrupt_cache_degrades_to_cold_run(tmp_path):
 def test_cache_rejects_stale_schema(tmp_path):
     tree = make_tree(tmp_path / "t")
     cache_dir = tmp_path / "cache"
-    run_lint([tree], cache_dir=cache_dir)
+    cold = run_lint([tree], cache_dir=cache_dir)
+    fresh = json.loads((cache_dir / "cache.json").read_text())
 
-    blob = json.loads((cache_dir / "cache.json").read_text())
-    blob["summary_version"] = -1
-    (cache_dir / "cache.json").write_text(json.dumps(blob))
-    assert len(run_lint([tree],
-                        cache_dir=cache_dir).reanalyzed_files) == 2
+    # A version-9 cache still carries the blob of the deleted replica
+    # verdicts (CDE015); it must load as a cold run, not as an error.
+    version_9 = dict(fresh, summary_version=9, sync={
+        "digest": "0" * 16,
+        "findings": [{"path": "a.py", "line": 1, "col": 0,
+                      "rule": "CDE015", "message": "stale"}]})
+    for stale in (dict(fresh, summary_version=-1), version_9):
+        (cache_dir / "cache.json").write_text(json.dumps(stale))
+        rerun = run_lint([tree], cache_dir=cache_dir)
+        assert len(rerun.reanalyzed_files) == 2
+        assert rerun.findings == cold.findings
+        assert "sync" not in json.loads(
+            (cache_dir / "cache.json").read_text())
 
 
 def test_config_change_invalidates_findings_not_summaries(tmp_path):

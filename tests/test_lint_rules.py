@@ -31,8 +31,7 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 
 #: The default-enabled rule set (what a plain run reports as rules_run).
 ALL_RULES = ("CDE001", "CDE002", "CDE003", "CDE004", "CDE005", "CDE006",
-             "CDE007", "CDE008", "CDE009", "CDE010", "CDE012", "CDE013",
-             "CDE015", "CDE016")
+             "CDE007", "CDE008", "CDE009", "CDE010", "CDE012", "CDE013")
 #: Everything registered, including the opt-in CDE014 audit.
 REGISTERED_RULES = ALL_RULES + ("CDE014",)
 
@@ -52,15 +51,13 @@ RULE_FIXTURES = [
     ("CDE010", "flow/cde010_bad.py", "flow/cde010_good.py"),
     ("CDE012", "flow/cde012_bad", "flow/cde012_good"),
     ("CDE013", "flow/cde013_bad", "flow/cde013_good"),
-    ("CDE015", "sync/cde015_bad", "sync/cde015_good"),
-    ("CDE016", "sync/cde016_bad.py", "sync/cde016_good.py"),
 ]
 
 #: Findings each bad fixture must produce (a floor, not an exact count).
 EXPECTED_MIN_FINDINGS = {
     "CDE001": 4, "CDE002": 4, "CDE003": 5, "CDE004": 2, "CDE005": 3,
     "CDE006": 3, "CDE007": 3, "CDE008": 2, "CDE009": 2, "CDE010": 2,
-    "CDE012": 2, "CDE013": 2, "CDE015": 3, "CDE016": 2,
+    "CDE012": 2, "CDE013": 2,
 }
 
 
@@ -253,7 +250,8 @@ def test_json_flag_conflicts_with_other_formats():
 def test_exit_code_2_on_unknown_rule_and_missing_path(tmp_path):
     assert run_cli("--select", "CDE999", str(FIXTURES)).returncode == 2
     # A deleted rule is as unknown as one that never existed.
-    assert run_cli("--select", "CDE017", str(FIXTURES)).returncode == 2
+    for deleted in ("CDE011", "CDE015", "CDE016", "CDE017"):
+        assert run_cli("--select", deleted, str(FIXTURES)).returncode == 2
     assert run_cli(str(tmp_path / "does-not-exist")).returncode == 2
 
 
@@ -267,7 +265,7 @@ def test_stats_prints_per_rule_timings_to_stderr(tmp_path):
     assert stats.stdout == plain.stdout
     # ...and stderr carries one timing row per rule that ran, plus total.
     assert "per-rule analysis time" in stats.stderr
-    for rule_id in ("CDE001", "CDE015", "total"):
+    for rule_id in ("CDE001", "CDE004", "total"):
         assert rule_id in stats.stderr
     assert "ms" in stats.stderr
 
@@ -300,9 +298,9 @@ class TestExplainResolution:
         assert result.stdout.startswith("CDE013")
 
     def test_underscored_slug_resolves(self):
-        result = run_cli("--explain", "replica_drift")
+        result = run_cli("--explain", "capture_safety")
         assert result.returncode == 0
-        assert result.stdout.startswith("CDE015")
+        assert result.stdout.startswith("CDE012")
 
     def test_unknown_token_is_a_usage_error(self):
         result = run_cli("--explain", "no-such-rule")

@@ -10,15 +10,30 @@ produce identical rows.
 
 from __future__ import annotations
 
-from dataclasses import astuple, replace
+import random
+from dataclasses import astuple, dataclass, fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.cache.entry import CacheEntry
+from repro.core import infrastructure
+from repro.core.infrastructure import PROBE_TTL
+from repro.dns.record import ResourceRecord, RRSet
+from repro.net.latency import ConstantLatency, LogNormalLatency
+from repro.net.loss import BernoulliLoss, NoLoss
+from repro.net.network import LinkProfile
+from repro.resolver.selection import QueryContext
+from repro.server import hierarchy
+from repro.server.authoritative import AuthoritativeServer
+from repro.server.hierarchy import DELEGATION_TTL
+from repro.server.querylog import LogEntry
 from repro.study import (
     DEFAULT_SHARDS,
     MIN_PLATFORMS_PER_WORKER,
     MeasurementBudget,
     POPULATIONS,
+    PlatformSpec,
     SELECTOR_MIX,
     ShardLane,
     SimulatedInternet,
@@ -264,60 +279,220 @@ class TestPerfCounters:
         assert len(payload["shards"]) == 2
 
 
-def _shard_state(task, monkeypatch):
-    """Run one shard and snapshot everything the fused corridor mutates.
+@dataclass(frozen=True)
+class CorridorShape:
+    """One world shape the fused corridor accepts.
 
-    Each platform leaves the world once its row is out, so its caches'
-    counters are read as it retires; the CDE log's arrival count survives
-    the forgetting that comes with every retirement.
+    ``platforms`` holds ``(n_ingress, n_caches, n_egress)`` per platform of
+    the shard.  The four links are the profiles of the prober, the
+    platforms' ingress and egress addresses and every authoritative server
+    (root, TLD, CDE).  ``wildcard_ttl`` and ``ns_ttl`` replace the CDE
+    zone's record TTL and the delegation TTL, so short values expire
+    answers and corridor entries inside a probe train.
     """
-    caches = []
+
+    platforms: tuple[tuple[int, int, int], ...]
+    capacity: int
+    prober: LinkProfile
+    ingress: LinkProfile
+    egress: LinkProfile
+    server: LinkProfile
+    wildcard_ttl: int = PROBE_TTL
+    ns_ttl: int = DELEGATION_TTL
+
+
+#: Every model the corridor's inline traversal takes (``_link_params``).
+_LINKS = st.builds(
+    LinkProfile,
+    latency=st.one_of(
+        st.builds(ConstantLatency, st.floats(0.001, 0.05)),
+        st.builds(LogNormalLatency, median=st.floats(0.001, 0.05),
+                  sigma=st.floats(0.0, 0.6))),
+    loss=st.one_of(st.just(NoLoss()),
+                   st.builds(BernoulliLoss, st.floats(0.0, 0.3))))
+
+_SHAPES = st.builds(
+    CorridorShape,
+    platforms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6),
+                                 st.integers(1, 4)),
+                       min_size=2, max_size=4).map(tuple),
+    capacity=st.integers(2, 64),
+    prober=_LINKS, ingress=_LINKS, egress=_LINKS, server=_LINKS,
+    wildcard_ttl=st.sampled_from([1, 2, 5, PROBE_TTL]),
+    ns_ttl=st.sampled_from([1, 3, 10, DELEGATION_TTL]))
+
+_STEADY = LinkProfile(ConstantLatency(0.01), NoLoss())
+_LOSSY = LinkProfile(ConstantLatency(0.01), BernoulliLoss(0.3))
+#: Pinned shapes, so every run reaches these branches whatever the draws:
+#: upstream request loss (lossy egress, steady server) ...
+_EGRESS_LOSS = CorridorShape(
+    platforms=((1, 3, 2), (2, 4, 1), (1, 2, 3)), capacity=64,
+    prober=_STEADY, ingress=_STEADY, egress=_LOSSY, server=_STEADY)
+#: ... upstream response loss on a jittered server leg ...
+_SERVER_LOSS = CorridorShape(
+    platforms=((1, 4, 2), (1, 1, 1), (3, 3, 2)), capacity=64,
+    prober=LinkProfile(LogNormalLatency(0.004, 0.2), BernoulliLoss(0.1)),
+    ingress=_STEADY, egress=_STEADY,
+    server=LinkProfile(LogNormalLatency(0.008, 0.3), BernoulliLoss(0.3)))
+#: ... and answers, corridor entries and LRU victims that expire or get
+#: evicted inside a probe train.
+_TTL_EXPIRY = CorridorShape(
+    platforms=((1, 2, 1), (2, 5, 3), (1, 3, 2)), capacity=6,
+    prober=_STEADY, ingress=_STEADY, egress=_STEADY, server=_STEADY,
+    wildcard_ttl=1, ns_ttl=2)
+
+#: Classes the corridor builds by ``__dict__`` (see _check_dataclass_layout).
+_LAYOUT_CLASSES = (LogEntry, CacheEntry, RRSet, ResourceRecord, QueryContext)
+
+
+def _rng_state(value):
+    return value.getstate() if isinstance(value, random.Random) else value
+
+
+def _retire_state(world, hosted):
+    """Everything a platform's probes left behind, read as it retires."""
+    platform = hosted.platform
+    return {
+        "platform": astuple(platform.stats),
+        "sequence": platform._sequence,
+        "selectors": [
+            {name: _rng_state(value) for name, value in vars(selector).items()}
+            for selector in (platform.cache_selector,
+                             platform.egress_selector)],
+        "caches": [
+            (astuple(cache.stats),
+             [(key, entry.hits, entry.last_used, entry.stored_at,
+               entry.expires_at) for key, entry in cache._entries.items()])
+            for cache in platform.caches],
+        "streams": [world.rng_factory.stream(label).getstate()
+                    for label in hosted.streams],
+        # Every server's log, before retire_platform forgets it.
+        "logs": [[(entry.timestamp, entry.src_ip, entry.qname, entry.qtype,
+                   entry.msg_id) for entry in log]
+                 for log in world.query_logs()],
+    }
+
+
+def _corridor_run(shape, selector, fused):
+    """Run one shard of ``shape`` with the fast plan on or off.
+
+    Returns the per-retirement states, the end state, the lane (for its
+    probe counters) and every object the corridor built by ``__dict__``.
+    A run whose estimator rejects its counts (a re-fetch after a TTL
+    expiry can push arrivals past the probes sent) ends there: the error
+    and the in-flight platform's state join the comparison, so both paths
+    must fail alike.
+    """
+    specs = [PlatformSpec(population="open-resolvers", index=index + 1,
+                          operator="unknown", country="default",
+                          n_ingress=n_ingress, n_caches=n_caches,
+                          n_egress=n_egress, selector_name=selector)
+             for index, (n_ingress, n_caches, n_egress)
+             in enumerate(shape.platforms)]
+    task = plan_shards(specs, base_seed=SEED, n_shards=1,
+                       budget=FAST_BUDGET)[0]
+    retired = []
+    built = []
+    add_platform = SimulatedInternet.add_platform_from_spec
     retire = SimulatedInternet.retire_platform
 
+    def shaped_platform(world, spec):
+        hosted = add_platform(world, spec)
+        platform = hosted.platform
+        network = world.network
+        config = platform.config
+        network.register_many(config.ingress_ips, platform, shape.ingress)
+        network.register_many(config.egress_ips,
+                              network.endpoint_at(config.egress_ips[0]),
+                              shape.egress)
+        for cache in platform.caches:
+            cache.capacity = shape.capacity
+        return hosted
+
     def snapshot_and_retire(world, hosted):
-        caches.extend(astuple(cache.stats)
-                      for cache in hosted.platform.caches)
+        retired.append(_retire_state(world, hosted))
         retire(world, hosted)
 
-    with monkeypatch.context() as patch:
+    def recording_new(cls):
+        instance = object.__new__(cls)
+        built.append(instance)
+        return instance
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infrastructure, "PROBE_TTL", shape.wildcard_ttl)
+        patch.setattr(hierarchy, "DELEGATION_TTL", shape.ns_ttl)
+        patch.setattr(SimulatedInternet, "add_platform_from_spec",
+                      shaped_platform)
         patch.setattr(SimulatedInternet, "retire_platform",
                       snapshot_and_retire)
+        patch.setattr(engine, "_obj_new", recording_new)
+        if not fused:
+            patch.setattr(engine._FastPlan, "build",
+                          staticmethod(lambda *args, **kwargs: None))
         lane = ShardLane(task)
-        outcome = lane.run_to_completion()
-    world = lane.world
-    assert len(caches) == sum(spec.n_caches for spec in task.specs)
-    state = {
-        "rows": outcome.rows,
-        "stats": outcome.perf.stats,
-        "caches": caches,
-        "log": world.cde.server.query_log.total_recorded,
-        "clock": world.network.clock.now,
+        world = lane.world
+        network = world.network
+        network.register(world.prober_ip,
+                         network.endpoint_at(world.prober_ip), shape.prober)
+        for ip, registration in list(network._endpoints.items()):
+            if isinstance(registration.endpoint, AuthoritativeServer):
+                network.register(ip, registration.endpoint, shape.server)
+        try:
+            lane.run_to_completion()
+            error = None
+        except ValueError as raised:
+            error = (type(raised).__name__, str(raised))
+            retired.extend(_retire_state(world, hosted)
+                           for hosted in world.platforms)
+    end = {
+        "error": error,
+        "rows": lane.rows,
+        "stats": astuple(network.stats),
+        "clock": network.clock.now,
         "queries_sent": world.prober.queries_sent,
+        "network_rng": network._rng.getstate(),
+        "prober_rng": world.prober.rng.getstate(),
     }
-    return state, outcome.perf
+    return retired, end, lane, built
 
 
 class TestFusedCorridorEquivalence:
-    """The fused corridor reproduces the structured path's full state.
+    """The fused corridor leaves exactly the structured path's state.
 
-    One open-resolver shard runs as is, then again with the fast plan
-    disabled so every probe takes the structured resolver.  Rows, network
-    stats, every cache's counters, the CDE query log's arrival count and
-    the clock must all agree, for each stock cache selector.
+    Each example runs one open-resolver shard twice: as is, then with the
+    fast plan disabled so every probe takes the structured
+    net → platform → iterative → authoritative path.  Whatever the
+    selector, cache count and size, ingress/egress fan-out, link models
+    and TTLs, both runs must leave the same cache counters and entries,
+    platform and selector state, RNG streams and server logs at every
+    retirement, and the same rows, network counters, clock and RNG
+    positions at the end.  Every object the corridor built by
+    ``__dict__`` must carry its dataclass's field order.
     """
 
     @pytest.mark.parametrize("selector", [name for name, _ in SELECTOR_MIX])
-    def test_fused_matches_structured(self, selector, monkeypatch):
-        specs = [replace(spec, selector_name=selector)
-                 for spec in _specs("open-resolvers")]
-        task = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS,
-                           budget=FAST_BUDGET)[0]
-        fused, fused_perf = _shard_state(task, monkeypatch)
-        monkeypatch.setattr(engine._FastPlan, "build",
-                            staticmethod(lambda *args, **kwargs: None))
-        structured, structured_perf = _shard_state(task, monkeypatch)
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @example(shape=_EGRESS_LOSS)
+    @example(shape=_SERVER_LOSS)
+    @example(shape=_TTL_EXPIRY)
+    @given(shape=_SHAPES)
+    def test_fused_matches_structured(self, selector, shape):
+        assert engine._FAST_LAYOUT is True
+        fused, fused_end, fused_perf, built = _corridor_run(
+            shape, selector, fused=True)
+        structured, structured_end, structured_perf, _ = _corridor_run(
+            shape, selector, fused=False)
         assert fused_perf.fused_probes > 0
         assert fused_perf.fallback_probes == 0
         assert structured_perf.fused_probes == 0
-        assert fused["log"] > 0
-        assert fused == structured
+        assert len(fused) == len(structured)
+        for index, (mine, theirs) in enumerate(zip(fused, structured)):
+            for key in mine:
+                assert mine[key] == theirs[key], (index, key)
+        for key in fused_end:
+            assert fused_end[key] == structured_end[key], key
+        assert built
+        for instance in built:
+            assert isinstance(instance, _LAYOUT_CLASSES)
+            assert list(vars(instance)) == [
+                field.name for field in fields(type(instance))], instance
