@@ -15,8 +15,8 @@ dataset, §V-A):
   worker counts; :func:`repro.study.resolve_workers` decides whether a
   real pool can pay for itself, so every count must beat the legacy leg.
 * ``pipelined``          — ``workers="auto"``: the engine's own choice
-  (the in-process :class:`~repro.study.PipelinedEngine` on small
-  machines, a pool above the platforms-per-worker floor).
+  (in-process :class:`~repro.study.ShardLane` steps in stripe order on
+  small machines, a pool above the platforms-per-worker floor).
 
 The shard plan is fixed (8 shards) independent of the worker count, so
 every shard-based leg must produce byte-identical rows — including the

@@ -23,7 +23,7 @@ Three enumerators are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..dns.name import DnsName
 from ..dns.rrtype import RRType
@@ -34,7 +34,7 @@ from .analysis import (
     queries_for_confidence,
 )
 from .infrastructure import CdeInfrastructure
-from .prober import DirectProber
+from .prober import DirectProber, delivery_probe
 from .resilient import RetryBudget
 
 
@@ -171,8 +171,10 @@ def enumerate_adaptive(cde: CdeInfrastructure, prober: DirectProber,
                        confidence: float = 0.99,
                        max_q: int = 4096,
                        qtype: RRType = RRType.A,
-                       retry_budget: Optional[RetryBudget] = None
-                       ) -> DirectEnumerationResult:
+                       retry_budget: Optional[RetryBudget] = None,
+                       *,
+                       probe: Optional[Callable[[DnsName, RRType], bool]]
+                       = None) -> DirectEnumerationResult:
     """Direct enumeration without a prior on n.
 
     Starts with ``initial_q`` probes of one fresh name and keeps probing
@@ -184,9 +186,14 @@ def enumerate_adaptive(cde: CdeInfrastructure, prober: DirectProber,
     ``retry_budget``; with none supplied, one is derived from the same
     coupon-collector bound that drives the stopping rule (so retrying can
     spend at most ``budget_fraction`` of the planned query count).
+
+    ``probe`` says how one probe reaches the platform and returns whether
+    it was delivered; the default is one real ``prober.probe`` at
+    ``ingress_ip``.
     """
     if initial_q < 1:
         raise ValueError("initial_q must be positive")
+    deliver = probe or delivery_probe(prober, ingress_ip)
     name = cde.unique_name("enum")
     since = prober.network.clock.now
     sent = 0
@@ -195,7 +202,7 @@ def enumerate_adaptive(cde: CdeInfrastructure, prober: DirectProber,
     def send(count: int) -> None:
         nonlocal sent, delivered
         for _ in range(count):
-            if prober.probe(ingress_ip, name, qtype).delivered:
+            if deliver(name, qtype):
                 delivered += 1
             sent += 1
 

@@ -16,13 +16,13 @@ Two directions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..dns.name import DnsName
 from ..dns.rrtype import RRType
 from .analysis import queries_for_confidence
 from .infrastructure import CdeInfrastructure
-from .prober import DirectProber
+from .prober import DirectProber, delivery_probe
 
 
 @dataclass
@@ -134,18 +134,24 @@ def map_ingress_to_clusters(cde: CdeInfrastructure, prober: DirectProber,
 
 def discover_egress_ips(cde: CdeInfrastructure, prober: DirectProber,
                         ingress_ip: str, probes: int = 32,
-                        qtype: RRType = RRType.A) -> EgressDiscoveryResult:
+                        qtype: RRType = RRType.A,
+                        *,
+                        probe: Optional[Callable[[DnsName, RRType], bool]]
+                        = None) -> EgressDiscoveryResult:
     """Census the egress addresses behind an ingress IP.
 
     Each probe uses a fresh name, guaranteeing a cache miss and hence an
-    upstream query whose source address lands in our log.
+    upstream query whose source address lands in our log.  ``probe`` says
+    how one probe reaches the platform (default: one real
+    ``prober.probe`` at ``ingress_ip``).
     """
     if probes < 1:
         raise ValueError("need at least one probe")
+    deliver = probe or delivery_probe(prober, ingress_ip)
     since = prober.network.clock.now
     names = cde.unique_names(probes, prefix="egress")
     for probe_name in names:
-        prober.probe(ingress_ip, probe_name, qtype)
+        deliver(probe_name, qtype)
     entries = cde.server.query_log.entries_for_any(names, since=since)
     sources = {entry.src_ip for entry in entries}
     return EgressDiscoveryResult(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from ..client.browser import Browser
 from ..client.smtp import SmtpServer
@@ -201,6 +201,19 @@ class DirectProber:
         core move (§IV-B1)."""
         return [self.probe(ingress_ip, qname, qtype, retries=retries)
                 for _ in range(count)]
+
+
+def delivery_probe(prober: DirectProber, ingress_ip: str
+                   ) -> Callable[[DnsName, RRType], bool]:
+    """One real :meth:`DirectProber.probe` at ``ingress_ip``, as a seam.
+
+    The direct techniques read nothing of a probe but its delivery status,
+    so this is the default way their probes reach a platform; a caller may
+    pass another ``(qname, qtype) -> delivered`` callable in its place.
+    """
+    def probe(qname: DnsName, qtype: RRType) -> bool:
+        return prober.probe(ingress_ip, qname, qtype).delivered
+    return probe
 
 
 class IndirectProber(Protocol):

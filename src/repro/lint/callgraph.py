@@ -24,8 +24,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .astutil import (dotted_name, import_aliases, iter_function_defs,
-                      resolve_call_target)
+from .astutil import dotted_name, iter_function_defs, resolve_call_target
 from .dataflow import FlowEdge, HandlerSummary, analyze_function
 from .effects import EffectSite, extract_effect_sites
 from .module import ModuleInfo
@@ -349,7 +348,7 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
     """Build the project-rule summary of one parsed file."""
     from .astutil import annotation_is_set
 
-    aliases = import_aliases(module.tree)
+    aliases = module.aliases
     mutable_globals = _mutable_global_defs(module.tree, aliases)
     global_names = frozenset(mutable_globals)
     functions: list[FunctionSummary] = []

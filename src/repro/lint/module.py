@@ -18,7 +18,10 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+from .astutil import import_aliases
 
 SUPPRESS_ALL = "all"
 
@@ -73,6 +76,13 @@ class ModuleInfo:
     tree: ast.Module
     line_suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
     file_suppressions: frozenset[str] = frozenset()
+
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """The file's import aliases, parsed once and shared by the
+        summary and every per-file rule (see
+        :func:`~repro.lint.astutil.import_aliases`)."""
+        return import_aliases(self.tree)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         for scope in (self.file_suppressions,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import import_aliases, module_level_nodes, resolve_call_target, \
+from ..astutil import module_level_nodes, resolve_call_target, \
     walk_with_symbols
 from ..config import path_matches_any
 from ..effects import GLOBAL_RANDOM_DRAWS
@@ -44,7 +44,7 @@ class RandomnessRule(Rule):
     ) -> Iterator[Finding]:
         if path_matches_any(module.rel, ctx.config.rng_allow):
             return
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         import_time = {
             id(node) for node in module_level_nodes(module.tree)
         }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import import_aliases, resolve_call_target, walk_with_symbols
+from ..astutil import resolve_call_target, walk_with_symbols
 from ..config import path_matches_any
 from ..effects import WALLCLOCK_READS
 from ..findings import Finding
@@ -36,7 +36,7 @@ class WallClockRule(Rule):
     ) -> Iterator[Finding]:
         if path_matches_any(module.rel, ctx.config.wallclock_allow):
             return
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         for node, symbol in walk_with_symbols(module.tree):
             if not isinstance(node, ast.Call):
                 continue

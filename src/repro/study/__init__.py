@@ -73,12 +73,7 @@ if TYPE_CHECKING:
         draw_operator,
         top_n_table,
     )
-    from .engine import (
-        BATCH_PROBES,
-        STREAM_BUFFER_ROWS,
-        PipelinedEngine,
-        ShardLane,
-    )
+    from .engine import ShardLane
     from .parallel import (
         DEFAULT_SHARDS,
         MIN_PLATFORMS_PER_WORKER,

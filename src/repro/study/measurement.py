@@ -21,6 +21,7 @@ from ..core.bypass import CnameChainBypass
 from ..core.enumeration import enumerate_adaptive
 from ..core.mapping import discover_egress_ips
 from ..core.prober import IndirectProber
+from ..dns.name import DnsName
 from ..dns.rrtype import RRType
 from .internet import HostedPlatform, SimulatedInternet
 from .population import PlatformSpec
@@ -94,9 +95,15 @@ def _egress_probe_budget(spec: PlatformSpec, budget: MeasurementBudget) -> int:
 
 
 def measure_direct(world: SimulatedInternet, hosted: HostedPlatform,
-                   budget: Optional[MeasurementBudget] = None
+                   budget: Optional[MeasurementBudget] = None,
+                   *,
+                   probe: Optional[Callable[[DnsName, RRType], bool]] = None
                    ) -> PlatformMeasurement:
-    """Open-resolver access: the direct techniques (§IV-B1)."""
+    """Open-resolver access: the direct techniques (§IV-B1).
+
+    ``probe`` is forwarded to both techniques: how one probe reaches the
+    platform (default: one real ``world.prober.probe`` at the ingress).
+    """
     budget = budget or MeasurementBudget()
     spec = hosted.spec
     before = world.prober.queries_sent
@@ -106,11 +113,11 @@ def measure_direct(world: SimulatedInternet, hosted: HostedPlatform,
     enumeration = enumerate_adaptive(
         world.cde, world.prober, ingress_ip,
         initial_q=8, confidence=budget.confidence,
-        max_q=budget.max_enumeration_queries,
+        max_q=budget.max_enumeration_queries, probe=probe,
     )
     egress = discover_egress_ips(
         world.cde, world.prober, ingress_ip,
-        probes=_egress_probe_budget(spec, budget),
+        probes=_egress_probe_budget(spec, budget), probe=probe,
     )
     degradation = world.tally.delta(tally_before)
     return PlatformMeasurement(
@@ -190,8 +197,6 @@ def measure_via_browser(world: SimulatedInternet, hosted: HostedPlatform,
     """ISP access through an ad-network web client."""
     budget = budget or MeasurementBudget()
     prober = world.make_browser_prober(hosted)
-    from ..dns.rrtype import RRType
-
     return _measure_indirect(world, hosted, prober, "browser", budget,
                              count_qtype=RRType.A)
 

@@ -13,16 +13,17 @@ in DESIGN.md §6:
 2. **Seed** — each shard gets its own independent world, built from a seed
    derived as ``derive_seed(base_seed, "shard/<index>")`` via
    :mod:`repro.net.rng` — the toolkit's one seed-derivation scheme.
-3. **Run** — shards run through the pipelined
-   :class:`~repro.study.engine.ShardLane` turn machinery: in-process on the
-   interleaving :class:`~repro.study.engine.PipelinedEngine`, or on a
+3. **Run** — each shard is a :class:`~repro.study.engine.ShardLane` whose
+   ``step`` measures one platform: in-process, or on a
    :class:`concurrent.futures.ProcessPoolExecutor` when
    :func:`resolve_workers` decides a pool actually pays for itself
    (``workers="auto"`` sizes the pool from ``os.cpu_count()``; the handoff
    ships compact pre-serialized spec tuples, never live worlds).
-4. **Merge** — per-platform rows return to the *original spec order*, so
-   results are bit-identical regardless of worker count: the worker pool
-   only changes scheduling, never what any shard computes.
+4. **Merge** — per-platform rows return to the *original spec order*
+   through one reassembler, :func:`_in_stripe_order`, whether the rows
+   come from in-process lane steps or from pool spill files, so results
+   are bit-identical regardless of worker count: the worker pool only
+   changes scheduling, never what any shard computes.
 
 Each shard also reports a :class:`~repro.net.perf.ShardPerf` sample; the
 merged :class:`~repro.net.perf.PerfCounters` carries wall time, aggregated
@@ -32,12 +33,14 @@ benches.
 
 from __future__ import annotations
 
+import heapq
 import os
 import pickle
 import tempfile
 import time
 from dataclasses import astuple, dataclass, replace
-from typing import Iterator, Optional, Union
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Union
 
 from ..net.perf import PerfCounters
 from ..net.rng import derive_seed
@@ -160,8 +163,8 @@ def _decode_task(payload: bytes) -> ShardTask:
 def _run_shard_spill(handoff: tuple[bytes, str]) -> ShardOutcome:
     """Pool entry point for streaming: rows spill to disk as they finish.
 
-    The worker never holds more than one lane-batch of rows: every finished
-    row is pickled to the shard's spill file immediately, and the returned
+    The worker never holds more than one row: each row is pickled to the
+    shard's spill file as its step returns it, and the returned
     :class:`ShardOutcome` carries only the perf sample (``rows`` empty).
     The parent re-reads the spill files one row at a time in stripe order,
     so parent *and* worker memory stay bounded regardless of census size.
@@ -171,11 +174,8 @@ def _run_shard_spill(handoff: tuple[bytes, str]) -> ShardOutcome:
     payload, spill_path = handoff
     lane = ShardLane(_decode_task(payload))
     with open(spill_path, "wb") as sink:
-        more = True
-        while more:
-            more = lane.step()
-            for row in lane.drain_rows():
-                pickle.dump(row, sink, protocol=pickle.HIGHEST_PROTOCOL)
+        while (row := lane.step()) is not None:
+            pickle.dump(row, sink, protocol=pickle.HIGHEST_PROTOCOL)
     return lane.outcome()
 
 
@@ -188,8 +188,7 @@ def resolve_workers(workers: WorkerSpec, n_tasks: int, n_platforms: int,
     only when it can win: at least two effective workers (capped by CPUs
     and shard count) and at least :data:`MIN_PLATFORMS_PER_WORKER`
     platforms of work per worker to amortize the measured startup +
-    handoff cost.  Everything else runs on the in-process pipelined
-    engine, which beats the old sequential shard loop at every size.
+    handoff cost.  Everything else runs in-process.
     ``force_pool`` skips the heuristic (tests use it to exercise real
     worker pools regardless of the machine).
     """
@@ -235,31 +234,46 @@ class StreamingMeasurement:
         return self._iterator
 
 
+def _in_stripe_order(tasks: list[ShardTask],
+                     next_row: Callable[[int], Optional[PlatformMeasurement]]
+                     ) -> Iterator[PlatformMeasurement]:
+    """Reassemble the shards' rows in global spec order, one at a time.
+
+    Each shard yields its rows in its own ``positions`` order, so merging
+    the tasks' positions names the shard that owns every next spec;
+    ``next_row(i)`` takes the next row of ``tasks[i]`` (``None`` when that
+    shard has none left).
+    """
+    owners = heapq.merge(*(zip(task.positions, repeat(index))
+                           for index, task in enumerate(tasks)))
+    for expected, (position, index) in enumerate(owners):
+        if position != expected:
+            raise RuntimeError(
+                f"shard plan lost spec at position {expected}")
+        row = next_row(index)
+        if row is None:
+            raise RuntimeError(
+                f"shard {tasks[index].shard_index} ended early at "
+                f"position {position}")
+        yield row
+
+
 def _merge_spilled(tasks: list[ShardTask], paths: list[str]
                    ) -> Iterator[PlatformMeasurement]:
     """Reassemble spilled shard rows in global spec order, one at a time."""
     files = [open(path, "rb") for path in paths]
     try:
         readers = [pickle.Unpickler(handle) for handle in files]
-        taken = [0] * len(tasks)
-        total = sum(len(task.positions) for task in tasks)
-        for frontier in range(total):
-            for index, task in enumerate(tasks):
-                if taken[index] < len(task.positions) and \
-                        task.positions[taken[index]] == frontier:
-                    try:
-                        row = readers[index].load()
-                    except EOFError as exc:
-                        raise RuntimeError(
-                            f"shard {task.shard_index} spill ended early "
-                            f"at position {frontier}") from exc
-                    taken[index] += 1
-                    assert isinstance(row, PlatformMeasurement)
-                    yield row
-                    break
-            else:
-                raise RuntimeError(
-                    f"shard plan lost spec at position {frontier}")
+
+        def load(index: int) -> Optional[PlatformMeasurement]:
+            try:
+                row = readers[index].load()
+            except EOFError:
+                return None
+            assert isinstance(row, PlatformMeasurement)
+            return row
+
+        yield from _in_stripe_order(tasks, load)
     finally:
         for handle in files:
             handle.close()
@@ -280,12 +294,14 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
     a given ``(specs, base_seed, n_shards)``, yet no layer ever holds the
     whole census:
 
-    * in-process, :meth:`PipelinedEngine.stream` delivers rows at the
-      stripe frontier with a constant per-lane buffer bound;
+    * in-process, each row is measured when it is due: the lane that owns
+      the next spec position takes one step, so no lane runs ahead;
     * on a pool, workers spill finished rows to per-shard files
       (:func:`_run_shard_spill`) and the parent re-reads them one row at a
       time in stripe order (``spill_dir`` picks where; default the system
       temp dir).
+
+    Both branches reassemble through :func:`_in_stripe_order`.
     """
     tasks = plan_shards(specs, base_seed=base_seed, n_shards=n_shards,
                         config=config, budget=budget)
@@ -298,18 +314,12 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
         started = time.perf_counter()
         perf = PerfCounters(workers=pool_size)
         if pool_size == 0 or len(tasks) <= 1:
-            from .engine import PipelinedEngine   # lazy: engine imports us
+            from .engine import ShardLane     # lazy: the engine imports us
 
-            engine = PipelinedEngine(tasks)
-            expected = 0
-            for position, row in engine.stream():
-                if position != expected:
-                    raise RuntimeError(
-                        f"stream out of order: got position {position}, "
-                        f"expected {expected}")
-                expected += 1
-                yield row
-            outcomes = engine.outcomes()
+            lanes = [ShardLane(task) for task in tasks]
+            yield from _in_stripe_order(
+                tasks, lambda index: lanes[index].step())
+            outcomes = [lane.outcome() for lane in lanes]
         else:
             # Only the pool branch pays for concurrent.futures and
             # multiprocessing; an in-process census never loads them.

@@ -16,7 +16,12 @@ from repro.core import (
     map_ingress_to_clusters,
     queries_for_confidence,
 )
+from repro.core import infrastructure
 from repro.dns import RRType
+from repro.net.latency import ConstantLatency
+from repro.net.loss import BernoulliLoss
+from repro.net.network import LinkProfile
+from repro.study import SimulatedInternet, WorldConfig
 
 
 def ingress_of(hosted):
@@ -131,6 +136,30 @@ class TestAdaptiveEnumeration:
         result = enumerate_adaptive(world.cde, world.prober,
                                     ingress_of(hosted), max_q=10)
         assert result.queries_sent <= 10
+
+
+    @pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason="arrivals exceed probes when a cache re-fetches inside the "
+               "train (ROADMAP direction 1)")
+    def test_short_ttl_under_prober_loss_stays_countable(self, monkeypatch):
+        # The wildcard answer lives 1 s, shorter than the probe train, and
+        # the prober leg loses 21% of messages: a retransmitted probe can
+        # reach a cache whose copy has expired, and the re-fetch arrives
+        # at the nameserver as one more query than probes were sent.
+        monkeypatch.setattr(infrastructure, "PROBE_TTL", 1)
+        lossy = LinkProfile(ConstantLatency(0.01), BernoulliLoss(0.21))
+        for seed in range(12):
+            world = SimulatedInternet(WorldConfig(seed=seed,
+                                                  lossy_platforms=False))
+            network = world.network
+            network.register(world.prober_ip,
+                             network.endpoint_at(world.prober_ip), lossy)
+            hosted = world.add_platform(n_ingress=1, n_caches=4, n_egress=1,
+                                        selector="round-robin")
+            result = enumerate_adaptive(world.cde, world.prober,
+                                        ingress_of(hosted))
+            assert result.arrivals <= result.queries_sent
 
 
 class TestBypasses:

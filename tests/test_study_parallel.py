@@ -11,7 +11,7 @@ produce identical rows.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -131,6 +131,34 @@ class TestMerging:
                                                budget=FAST_BUDGET)
         assert list(streamed) == []
         assert streamed.perf.platforms == 0
+
+    def test_in_process_stream_holds_no_rows_back(self, monkeypatch):
+        # Each row is measured when it is due: after the k-th row leaves
+        # the stream exactly k platforms have been built, so no lane runs
+        # ahead of the stripe order and buffers finished rows.  Every
+        # platform sends over 64 probes, so a scheduler that interleaved
+        # lanes within a platform would have built ahead.
+        built = []
+        add = SimulatedInternet.add_platform_from_spec
+
+        def counted(world, spec):
+            built.append(spec.index)
+            return add(world, spec)
+
+        monkeypatch.setattr(SimulatedInternet, "add_platform_from_spec",
+                            counted)
+        specs = generate_population("open-resolvers", 12, seed=SEED, **CAPS)
+        streamed = stream_parallel_measurement(specs, base_seed=SEED,
+                                               workers=0, n_shards=3,
+                                               budget=replace(
+                                                   FAST_BUDGET,
+                                                   min_egress_probes=64,
+                                                   max_egress_probes=64))
+        for taken, row in enumerate(streamed, start=1):
+            assert row.queries_used > 64
+            assert len(built) == taken
+            assert row.spec.index == built[-1]
+        assert taken == len(specs)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -437,8 +465,10 @@ def _corridor_run(shape, selector, fused):
         for ip, registration in list(network._endpoints.items()):
             if isinstance(registration.endpoint, AuthoritativeServer):
                 network.register(ip, registration.endpoint, shape.server)
+        rows = []
         try:
-            lane.run_to_completion()
+            for row in iter(lane.step, None):
+                rows.append(row)
             error = None
         except ValueError as raised:
             error = (type(raised).__name__, str(raised))
@@ -446,7 +476,7 @@ def _corridor_run(shape, selector, fused):
                            for hosted in world.platforms)
     end = {
         "error": error,
-        "rows": lane.rows,
+        "rows": rows,
         "stats": astuple(network.stats),
         "clock": network.clock.now,
         "queries_sent": world.prober.queries_sent,
