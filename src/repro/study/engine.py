@@ -18,11 +18,16 @@
   mutation sequence of the real object-per-message code — every RNG draw,
   every clock advance, every stats/log update — while skipping all
   ``DnsMessage`` construction, response assembly and truncation checks.
-  Once a platform's corridor is warm, the per-probe zone lookup and cache
-  walk collapse into a memoized fast path (see below).  Any structural
-  surprise (retry policies, fault injectors, closed resolvers, frontend
-  dedup, unexpected authority sets, exotic link models...) falls back to
-  the real code path, which is always correct.  The replication is pinned
+  Three tiers serve the platform side: the ``_answer_from`` chain walk
+  when the chosen cache already holds the name (:func:`_fused_resolve_chain`),
+  the warm corridor memo that collapses the zone lookup and authority
+  walk, and the captured referral chain replayed into an empty cache
+  (:class:`_ColdChain`).  A platform that fails a precondition of
+  :meth:`_FastPlan.build` (retry policies, fault injectors, closed
+  resolvers, frontend dedup, link models outside :func:`_link_params`...)
+  takes the structured path for every probe; an upstream no tier covers
+  (a stale memo, a declined chain) runs the real ``_resolve_upstream``
+  from exactly the point the real code would.  The replication is pinned
   at run time: ``TestFusedCorridorEquivalence`` in
   ``tests/test_study_parallel.py`` runs hypothesis-drawn shards with the
   fast plan on and off and compares every counter, cache entry, RNG
@@ -66,7 +71,7 @@ from ..dns.record import (
 )
 from ..dns.rrtype import RCode, RRType
 from ..dns.wire import wire_cache_counters
-from ..dns.zone import WILDCARD_LABEL, LookupKind, Zone
+from ..dns.zone import WILDCARD_LABEL, Zone
 from ..net.latency import ConstantLatency, LogNormalLatency
 from ..net.loss import BernoulliLoss, NoLoss
 from ..net.network import LinkProfile, Network
@@ -98,24 +103,26 @@ _CorridorMemo = tuple[CacheEntry, CacheEntry]
 _Template = tuple[tuple[DnsName, RRType], RRSet, int,
                   tuple[ResourceRecord, ...], int]
 #: One referral hop of the cold-resolution chain:
-#: (server, zone-name for the error message, dst link params, dst profile,
-#: RRsets its referral response makes the resolver cache, the server's
-#: query log, and — when that log is indexed — the suffix-bucket lists of
-#: the base domain's ancestor chain, for the inlined record()).
-_ColdLevel = tuple[AuthoritativeServer, DnsName, Optional[_LegParams],
-                   LinkProfile, tuple[RRSet, ...], QueryLog,
-                   Optional[list[list[int]]]]
+#: (server, zone-name for the error message, dst link params, RRsets its
+#: referral response makes the resolver cache, the server's query log,
+#: and — when that log is indexed — the suffix-bucket lists of the base
+#: domain's ancestor chain, for the inlined record()).
+_ColdLevel = tuple[AuthoritativeServer, DnsName, _LegParams,
+                   tuple[RRSet, ...], QueryLog, Optional[list[list[int]]]]
 #: Zone-shape token guarding a captured chain: (server, zone, zone count,
 #: rrset count).  Any mismatch forces a re-capture before the next replay.
 _ColdToken = tuple[AuthoritativeServer, Zone, int, int]
 
 
-def _link_params(profile: LinkProfile) -> Optional[_LegParams]:
+def _link_params(profile: Optional[LinkProfile]) -> Optional[_LegParams]:
     """Flattened sampling parameters for the type-gated traversal inline.
 
-    Only the models whose draw sequence the inline replicates exactly are
-    eligible; anything else makes the corridor use ``Network._traverse``.
+    Only the models whose draw sequence :func:`_leg` replicates exactly
+    are eligible; ``None`` for anything else (or no profile) keeps the
+    hop off the corridor.
     """
+    if profile is None:
+        return None
     latency = profile.latency
     if type(latency) is LogNormalLatency:
         lognormal, median, sigma = True, latency.median, latency.sigma
@@ -133,6 +140,11 @@ def _link_params(profile: LinkProfile) -> Optional[_LegParams]:
     return (lognormal, median, sigma, rate)
 
 
+#: The corridor builds ``LogEntry``, ``QueryContext``, ``ResourceRecord``,
+#: ``RRSet`` and ``CacheEntry`` as ``object.__new__`` plus a ``__dict__``
+#: literal in field order, skipping the dataclass ``__init__``;
+#: ``TestFusedCorridorEquivalence`` checks every object so built against
+#: its dataclass's fields.
 _obj_new = object.__new__
 #: Bypasses the frozen-dataclass ``__setattr__`` (which rejects even
 #: ``__dict__`` assignment) — exactly what dataclass ``__init__`` does.
@@ -141,74 +153,6 @@ _POSITIVE = EntryKind.POSITIVE
 _ANY = RRType.ANY
 _CNAME = RRType.CNAME
 _NS = RRType.NS
-
-
-def _check_dataclass_layout() -> bool:
-    """True when the hot loop may build records/entries by ``__dict__``.
-
-    The fused corridor constructs :class:`LogEntry`, :class:`QueryContext`,
-    :class:`ResourceRecord`, :class:`RRSet` and :class:`CacheEntry` via
-    ``object.__new__`` plus a ``__dict__`` literal, skipping dataclass
-    ``__init__``/``__post_init__`` overhead.  That is only sound while the
-    field layout, defaults and post-init effects are exactly the ones the
-    literals replicate — so this probe builds each replica the same way
-    the hot loop does and compares it field-for-field against the real
-    constructor's product.  Any mismatch (renamed field, new default,
-    ``__slots__``, new post-init behaviour) flips the corridor back to the
-    real constructors.
-    """
-    try:
-        name = ROOT.prepend("layout-check")
-        rdata = NsRdata(name)
-        record = ResourceRecord(name, RRType.A, 5, rdata)
-        fast_record = _obj_new(ResourceRecord)
-        _obj_setattr(fast_record, "__dict__",
-                     {"name": name, "rtype": RRType.A, "ttl": 5,
-                      "rdata": rdata, "rclass": record.rclass})
-        rrset = RRSet(name, RRType.A)
-        rrset.records = [record]
-        fast_rrset = _obj_new(RRSet)
-        fast_rrset.__dict__ = {"name": name, "rtype": RRType.A,
-                               "rclass": rrset.rclass, "records": [record]}
-        entry = CacheEntry(name=name, rtype=RRType.A, kind=_POSITIVE,
-                           stored_at=1.5, expires_at=6.5, rrset=rrset)
-        fast_entry = _obj_new(CacheEntry)
-        fast_entry.__dict__ = {"name": name, "rtype": RRType.A,
-                               "kind": _POSITIVE, "stored_at": 1.5,
-                               "expires_at": 6.5, "rrset": rrset,
-                               "soa": None, "hits": 0, "last_used": 1.5}
-        log_entry = LogEntry(timestamp=2.0, src_ip="src", qname=name,
-                             qtype=RRType.A, msg_id=7)
-        fast_log = _obj_new(LogEntry)
-        _obj_setattr(fast_log, "__dict__",
-                     {"timestamp": 2.0, "src_ip": "src", "qname": name,
-                      "qtype": RRType.A, "msg_id": 7})
-        context = QueryContext(qname=name, qtype=RRType.A, src_ip="src",
-                               sequence=3)
-        fast_context = _obj_new(QueryContext)
-        _obj_setattr(fast_context, "__dict__",
-                     {"qname": name, "qtype": RRType.A, "src_ip": "src",
-                      "sequence": 3})
-        return (
-            list(record.__dict__) == list(fast_record.__dict__)
-            and record.__dict__ == fast_record.__dict__
-            and record == fast_record
-            and list(rrset.__dict__) == list(fast_rrset.__dict__)
-            and rrset.__dict__ == fast_rrset.__dict__
-            and list(entry.__dict__) == list(fast_entry.__dict__)
-            and entry.__dict__ == fast_entry.__dict__
-            and list(log_entry.__dict__) == list(fast_log.__dict__)
-            and log_entry.__dict__ == fast_log.__dict__
-            and log_entry == fast_log
-            and list(context.__dict__) == list(fast_context.__dict__)
-            and context.__dict__ == fast_context.__dict__
-            and context == fast_context
-        )
-    except (AttributeError, TypeError):
-        return False
-
-
-_FAST_LAYOUT = _check_dataclass_layout()
 
 
 class _ColdChain:
@@ -228,8 +172,8 @@ class _ColdChain:
     question does, which ingest ignores), so the captured RRsets replay
     verbatim for any corridor name.  On any structural surprise — multiple
     roots or candidate servers, glueless delegations, truncation, a
-    non-wildcard answer — the capture declines and cold resolutions stay
-    on the real path.
+    non-wildcard answer, a link model outside :func:`_link_params` — the
+    capture declines and cold resolutions stay on the real path.
     """
 
     __slots__ = ("network", "server", "ns_ip", "base_domain", "root_key",
@@ -265,8 +209,8 @@ class _ColdChain:
                 return
             if not endpoint.online or endpoint.rrl_rate is not None:
                 return
-            profile = self.network.profile_of(server_ip)
-            if profile is None:
+            params = _link_params(self.network.profile_of(server_ip))
+            if params is None:
                 return
             zone = endpoint.zone_for(probe)
             if zone is None:
@@ -337,8 +281,8 @@ class _ColdChain:
                 level_log.suffix_bucket(ancestor)
                 for ancestor in self.base_domain.ancestors(include_self=True)
             ] if level_log.indexed else None
-            levels.append((endpoint, zone_name, _link_params(profile),
-                           profile, tuple(ingest), level_log, tails))
+            levels.append((endpoint, zone_name, params, tuple(ingest),
+                           level_log, tails))
             zone_name = new_zone
             server_ip = next_ips[0]
         return
@@ -366,31 +310,28 @@ class _FastPlan:
     :meth:`build` returns ``None`` unless every structural precondition of
     the fused probe path holds for this platform; the engine then keeps the
     real per-message path.  The preconditions are exactly the cases where
-    the real path takes no other branch, so the fused replica below can
+    the real path takes no other branch, and every link the corridor
+    crosses draws like :func:`_leg`, so the fused replica below can
     reproduce its mutation sequence verbatim.
     """
 
     __slots__ = (
-        "network", "clock", "stats", "prober", "prober_ip", "timeout",
-        "retries", "platform", "caches", "n_caches", "cache_selector",
-        "egress_selector", "egress_ips", "n_egress", "egress_profiles",
-        "prober_profile", "ingress_profile", "server", "query_log",
-        "ns_ip", "server_profile",
+        "clock", "stats", "prober", "prober_ip", "timeout", "retries",
+        "platform", "caches", "n_caches", "cache_selector", "egress_ips",
+        "n_egress", "query_log",
         # fast-path state
         "base_domain", "rng_gauss", "rng_random",
         "prober_randrange", "platform_randrange", "egress_randrange",
-        "probe_src", "probe_dst", "server_dst", "egress_src", "fast_links",
+        "probe_src", "probe_dst", "server_dst", "egress_src",
         "sel_kind", "sel_state",
         "log_indexed", "suffix_tails", "zone", "template", "ns_key", "a_key",
         "corridor", "cold", "cold_walk_misses",
     )
 
     def __init__(self, world: SimulatedInternet, platform: ResolutionPlatform,
-                 ingress_profile: LinkProfile, server_profile: LinkProfile,
-                 prober_profile: LinkProfile,
-                 egress_profiles: list[LinkProfile],
-                 cold: Optional[_ColdChain]):
-        self.network: Network = world.network
+                 probe_src: _LegParams, probe_dst: _LegParams,
+                 server_dst: _LegParams, egress_src: list[_LegParams],
+                 cold: _ColdChain):
         self.clock = world.network.clock
         self.stats = world.network.stats
         self.prober = world.prober
@@ -401,20 +342,13 @@ class _FastPlan:
         self.caches: list[DnsCache] = platform.caches
         self.n_caches: int = len(platform.caches)
         self.cache_selector = platform.cache_selector
-        self.egress_selector = platform.egress_selector
         self.egress_ips: list[str] = platform.config.egress_ips
         self.n_egress: int = len(platform.config.egress_ips)
-        self.egress_profiles = egress_profiles
-        self.prober_profile = prober_profile
-        self.ingress_profile = ingress_profile
-        self.server: AuthoritativeServer = world.cde.server
         self.query_log: QueryLog = world.cde.server.query_log
-        self.ns_ip: str = world.cde.ns_ip
-        self.server_profile = server_profile
 
         # -- fast-path precomputation -----------------------------------
         self.base_domain: DnsName = world.cde.base_domain
-        rng = self.network._rng
+        rng = world.network._rng
         self.rng_gauss: Callable[[float, float], float] = rng.gauss
         self.rng_random: Callable[[], float] = rng.random
         self.prober_randrange: Callable[[int], int] = self.prober.rng.randrange
@@ -422,14 +356,10 @@ class _FastPlan:
         # build() gated the selector type, so ``_rng`` is its only state.
         self.egress_randrange: Callable[[int], int] = \
             platform.egress_selector._rng.randrange
-        self.probe_src = _link_params(prober_profile)
-        self.probe_dst = _link_params(ingress_profile)
-        self.server_dst = _link_params(server_profile)
-        self.egress_src = [_link_params(p) for p in egress_profiles]
-        self.fast_links: bool = (
-            self.probe_src is not None and self.probe_dst is not None
-            and self.server_dst is not None
-            and all(p is not None for p in self.egress_src))
+        self.probe_src = probe_src
+        self.probe_dst = probe_dst
+        self.server_dst = server_dst
+        self.egress_src = egress_src
         # Type-gated cache-selector fast path: every stock selector's
         # ``select`` reduces to a cheap expression of state the corridor
         # holds (corridor queries always arrive from the prober's address).
@@ -462,8 +392,7 @@ class _FastPlan:
             log.suffix_bucket(ancestor)
             for ancestor in self.base_domain.ancestors(include_self=True)
         ] if log.indexed else []
-        # Seeded from the lane-shared cold chain, or lazily by the first
-        # successful slow upstream when the analytic capture declines.
+        # Seeded from the lane-shared cold chain by each cold replay.
         self.zone: Optional[Zone] = None
         self.template: Optional[_Template] = None
         self.ns_key: tuple[DnsName, RRType] = (self.base_domain, RRType.NS)
@@ -475,10 +404,6 @@ class _FastPlan:
         self.cold_walk_misses: int = 2 + sum(
             1 for _ in self.base_domain.prepend("x").ancestors(
                 include_self=True))
-        if cold is not None and cold.valid():
-            self.zone = cold.zone
-            self.template = cold.template
-            self.a_key = cold.a_key
 
     @classmethod
     def build(cls, world: SimulatedInternet, hosted: HostedPlatform,
@@ -512,14 +437,14 @@ class _FastPlan:
             return None
         if network.endpoint_at(config.ingress_ips[0]) is not platform:
             return None
-        prober_profile = network.profile_of(prober.prober_ip)
-        ingress_profile = network.profile_of(config.ingress_ips[0])
-        server_profile = network.profile_of(ns_ip)
-        egress_profiles = [network.profile_of(ip) for ip in config.egress_ips]
-        if prober_profile is None or ingress_profile is None or \
-                server_profile is None or any(
-                    profile is None for profile in egress_profiles):
-            return None
+        probe_src = _link_params(network.profile_of(prober.prober_ip))
+        probe_dst = _link_params(network.profile_of(config.ingress_ips[0]))
+        server_dst = _link_params(network.profile_of(ns_ip))
+        egress_src = [_link_params(network.profile_of(ip))
+                      for ip in config.egress_ips]
+        if probe_src is None or probe_dst is None or server_dst is None or \
+                any(params is None for params in egress_src):
+            return None           # unregistered or out-of-gate link model
         # The chain from the root hints to the CDE is world state, so one
         # capture is shared by every plan in the lane (keyed by root hints
         # in case specs ever diverge on them).
@@ -531,10 +456,9 @@ class _FastPlan:
             cold = _ColdChain(world, root_key)
             if cold_chains is not None:
                 cold_chains[root_key] = cold
-        return cls(world, platform, ingress_profile, server_profile,
-                   prober_profile,
-                   [profile for profile in egress_profiles
-                    if profile is not None], cold)
+        return cls(world, platform, probe_src, probe_dst, server_dst,
+                   [params for params in egress_src if params is not None],
+                   cold)
 
 
 def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
@@ -573,7 +497,8 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     # to keep the "prober" stream aligned with the real path.
     plan.prober_randrange(1 << 16)
     timeout = plan.timeout
-    fast = plan.fast_links
+    src = plan.probe_src
+    dst = plan.probe_dst
     attempts = 0
     while attempts <= plan.retries:
         attempts += 1
@@ -581,12 +506,7 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
             stats.retransmissions += 1
         sent_at = clock._now
         stats.messages_sent += 1
-        if fast:
-            assert plan.probe_src is not None and plan.probe_dst is not None
-            lost, latency = _leg(plan, plan.probe_src, plan.probe_dst)
-        else:
-            lost, latency = plan.network._traverse(plan.prober_profile,
-                                                   plan.ingress_profile)
+        lost, latency = _leg(plan, src, dst)
         if lost:
             stats.requests_lost += 1
             clock._now = sent_at + timeout      # advance_to, never backward
@@ -595,12 +515,7 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
         # The platform answers every eligible query (a SERVFAIL is still a
         # response), so the silent-drop branch cannot trigger here.
         _fused_resolve(plan, qname, qtype)
-        if fast:
-            assert plan.probe_src is not None and plan.probe_dst is not None
-            lost, latency = _leg(plan, plan.probe_src, plan.probe_dst)
-        else:
-            lost, latency = plan.network._traverse(plan.prober_profile,
-                                                   plan.ingress_profile)
+        lost, latency = _leg(plan, src, dst)
         if lost:
             stats.responses_lost += 1
             deadline = sent_at + timeout
@@ -636,18 +551,11 @@ def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
             memo[qname] = cache_index = _stable_hash(
                 salt, str(qname).lower()) % plan.n_caches
     else:
-        if _FAST_LAYOUT:
-            # Layout-checked __dict__ construction
-            # (see _check_dataclass_layout).
-            context = _obj_new(QueryContext)
-            _obj_setattr(context, "__dict__",
-                         {"qname": qname, "qtype": qtype,
-                          "src_ip": plan.prober_ip,
-                          "sequence": platform._sequence})
-        else:
-            context = QueryContext(qname=qname, qtype=qtype,
-                                   src_ip=plan.prober_ip,
-                                   sequence=platform._sequence)
+        context = _obj_new(QueryContext)
+        _obj_setattr(context, "__dict__",
+                     {"qname": qname, "qtype": qtype,
+                      "src_ip": plan.prober_ip,
+                      "sequence": platform._sequence})
         cache_index = plan.cache_selector.select(context, plan.n_caches)
     cache = plan.caches[cache_index]
     clock = plan.clock
@@ -678,7 +586,11 @@ def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
 
 def _fused_resolve_chain(plan: _FastPlan, cache: DnsCache, cache_index: int,
                          qname: DnsName, qtype: RRType) -> None:
-    """The generic CNAME-chain walk of ``_answer_from`` (rare path)."""
+    """The generic CNAME-chain walk of ``_answer_from``.
+
+    Taken when the chosen cache already holds the probed name — every
+    repeat probe of one name, about a third of census-open's probes.
+    """
     platform = plan.platform
     pstats = platform.stats
     now = plan.clock._now
@@ -714,63 +626,70 @@ def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
                     qname: DnsName, qtype: RRType) -> bool:
     """Fused ``_resolve_upstream`` for the single-authority CDE case.
 
-    Returns ``False`` — having mutated nothing — when the cached authority
-    walk would not land on exactly the CDE nameserver with a one-lookup
-    authoritative answer; the caller then takes the generic path.  Raises
-    :class:`ResolutionError` (like the real path) when every attempt to
-    reach the server is lost.
+    Two tiers: the warm corridor memo of this cache, and the captured
+    cold chain replayed into an empty cache.  Returns ``False`` — having
+    mutated nothing — in every other case (a stale memo, a cache holding
+    other entries, a declined chain, a non-A query); the caller then runs
+    the real ``_resolve_upstream``.  Raises :class:`ResolutionError`
+    (like the real path) when every attempt to reach a server is lost.
     """
-    now = plan.clock._now
-    template = plan.template
-    if template is not None and qtype is RRType.A:
-        memo = plan.corridor[cache_index]
-        if memo is not None:
-            ns_entry, a_entry = memo
-            centries = cache._entries
-            a_key = plan.a_key
-            zone = plan.zone
-            assert a_key is not None and zone is not None
-            # The memo stands while both corridor entries are the very
-            # objects cached before and still live; the template while the
-            # wildcard RRset object is unchanged.  Any replacement, expiry
-            # or added record fails the check → slow path re-derives.
-            if (centries.get(plan.ns_key) is ns_entry
-                    and now < ns_entry.expires_at
-                    and centries.get(a_key) is a_entry
-                    and now < a_entry.expires_at
-                    and zone._rrsets.get(template[0]) is template[1]
-                    and len(template[1].records) == template[2]):
-                # The warm corridor: replay the exact stat/recency mutations
-                # of _from_cache (two misses at the fresh name),
-                # _closest_known_authority (miss at the name's own NS key,
-                # then hits on the memoized (base, NS) and (ns, A) entries)
-                # and the answer put — without the dictionary walks, zone
-                # lookup or intermediate RRSet copies.
-                cstats = cache.stats
-                cstats.misses += 3
-                ns_entry.hits += 1
-                ns_entry.last_used = now
-                a_entry.hits += 1
-                a_entry.last_used = now
-                cstats.hits += 2
-                _fused_cde_transaction(plan, cache, qname, qtype, template)
-                return True
-        elif not cache._entries:
-            chain = plan.cold
-            if chain is not None and chain.valid():
-                # A re-capture inside valid() may have refreshed the chain;
-                # re-sync the plan's view before replaying.
-                template = chain.template
-                zone = chain.zone
-                if (template is not None and zone is not None
-                        and zone._rrsets.get(template[0]) is template[1]
-                        and len(template[1].records) == template[2]):
-                    plan.zone = zone
-                    plan.template = template
-                    plan.a_key = chain.a_key
-                    return _fused_upstream_cold(plan, cache, cache_index,
-                                                qname, qtype, template)
-    return _fused_upstream_slow(plan, cache, cache_index, qname, qtype)
+    if qtype is not RRType.A:
+        return False
+    memo = plan.corridor[cache_index]
+    if memo is not None:
+        now = plan.clock._now
+        ns_entry, a_entry = memo
+        centries = cache._entries
+        # The cold replay that set the memo seeded these.
+        template = plan.template
+        a_key = plan.a_key
+        zone = plan.zone
+        assert template is not None and a_key is not None and \
+            zone is not None
+        # The memo stands while both corridor entries are the very
+        # objects cached before and still live; the template while the
+        # wildcard RRset object is unchanged.  Any replacement, expiry
+        # or added record fails the check → the real path resolves.
+        if (centries.get(plan.ns_key) is ns_entry
+                and now < ns_entry.expires_at
+                and centries.get(a_key) is a_entry
+                and now < a_entry.expires_at
+                and zone._rrsets.get(template[0]) is template[1]
+                and len(template[1].records) == template[2]):
+            # The warm corridor: replay the exact stat/recency mutations
+            # of _from_cache (two misses at the fresh name),
+            # _closest_known_authority (miss at the name's own NS key,
+            # then hits on the memoized (base, NS) and (ns, A) entries)
+            # and the answer put — without the dictionary walks, zone
+            # lookup or intermediate RRSet copies.
+            cstats = cache.stats
+            cstats.misses += 3
+            ns_entry.hits += 1
+            ns_entry.last_used = now
+            a_entry.hits += 1
+            a_entry.last_used = now
+            cstats.hits += 2
+            _fused_cde_transaction(plan, cache, qname, qtype, template)
+            return True
+        return False
+    if cache._entries:
+        return False
+    chain = plan.cold
+    if not chain.valid():
+        return False
+    # A re-capture inside valid() may have refreshed the chain; re-sync
+    # the plan's view before replaying.
+    template = chain.template
+    zone = chain.zone
+    if (template is None or zone is None
+            or zone._rrsets.get(template[0]) is not template[1]
+            or len(template[1].records) != template[2]):
+        return False
+    plan.zone = zone
+    plan.template = template
+    plan.a_key = chain.a_key
+    return _fused_upstream_cold(plan, cache, cache_index, qname, qtype,
+                                template)
 
 
 def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
@@ -783,16 +702,14 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
     clock advances, server-log records and referral-RRset puts then replay
     the real iterative descent exactly (glue answers every hop, so no
     intermediate cache reads happen).  Finishing warms the corridor memo
-    directly — the slow path never runs for this cache.
+    directly, so the cache's later probes take the warm tier.
     """
     cache.stats.misses += plan.cold_walk_misses
     clock = plan.clock
     stats = plan.stats
-    fast = plan.fast_links
-    chain = plan.cold
-    assert chain is not None and chain.levels is not None
-    for (server, zone_name, dst_params, dst_profile, ingest, level_log,
-         tails) in chain.levels:
+    levels = plan.cold.levels
+    assert levels is not None
+    for server, zone_name, dst_params, ingest, level_log, tails in levels:
         msg_id = plan.platform_randrange(1 << 16)
         egress_index = plan.egress_randrange(plan.n_egress)
         egress_ip = plan.egress_ips[egress_index]
@@ -805,12 +722,7 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
                 stats.retransmissions += 1
             sent_at = clock._now
             stats.messages_sent += 1
-            if fast and dst_params is not None:
-                assert src_params is not None
-                lost, latency = _leg(plan, src_params, dst_params)
-            else:
-                lost, latency = plan.network._traverse(
-                    plan.egress_profiles[egress_index], dst_profile)
+            lost, latency = _leg(plan, src_params, dst_params)
             if lost:
                 stats.requests_lost += 1
                 clock._now = sent_at + _DEFAULT_TIMEOUT
@@ -820,15 +732,10 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
             # buckets above the fresh qname are the tail lists captured
             # with the chain.
             timestamp = clock._now
-            if _FAST_LAYOUT:
-                entry = _obj_new(LogEntry)
-                _obj_setattr(entry, "__dict__",
-                             {"timestamp": timestamp, "src_ip": egress_ip,
-                              "qname": qname, "qtype": qtype,
-                              "msg_id": msg_id})
-            else:
-                entry = LogEntry(timestamp=timestamp, src_ip=egress_ip,
-                                 qname=qname, qtype=qtype, msg_id=msg_id)
+            entry = _obj_new(LogEntry)
+            _obj_setattr(entry, "__dict__",
+                         {"timestamp": timestamp, "src_ip": egress_ip,
+                          "qname": qname, "qtype": qtype, "msg_id": msg_id})
             if tails is not None:
                 position = len(level_log._entries)
                 timestamps = level_log._timestamps
@@ -848,12 +755,7 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
                 level_log._entries.append(entry)
             else:
                 level_log.record(entry)
-            if fast and dst_params is not None:
-                assert src_params is not None
-                lost, latency = _leg(plan, src_params, dst_params)
-            else:
-                lost, latency = plan.network._traverse(
-                    plan.egress_profiles[egress_index], dst_profile)
+            lost, latency = _leg(plan, src_params, dst_params)
             if lost:
                 stats.responses_lost += 1
                 deadline = sent_at + _DEFAULT_TIMEOUT
@@ -871,11 +773,12 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
         plan.platform.stats.upstream_queries += 1
         ingested_at = clock._now
         for rrset in ingest:
-            # put_rrset, layout-checked: clamp, re-own the records at the
+            # put_rrset by __dict__: clamp, re-own the records at the
             # clamped TTL (with_ttl keeps each record's own name) and
-            # insert the positive entry.
+            # insert the positive entry.  The real path would raise on a
+            # negative TTL, so that (unreachable) case keeps it.
             clamped = cache.clamp_ttl(rrset.ttl)
-            if _FAST_LAYOUT and clamped >= 0:
+            if clamped >= 0:
                 records = []
                 for record in rrset.records:
                     owned = _obj_new(ResourceRecord)
@@ -925,8 +828,8 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
     clock = plan.clock
     stats = plan.stats
     log = plan.query_log
-    fast = plan.fast_links
     src_params = plan.egress_src[egress_index]
+    dst_params = plan.server_dst
     delivered = False
     attempts = 0
     while attempts <= _DEFAULT_RETRIES:
@@ -935,12 +838,7 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
             stats.retransmissions += 1
         sent_at = clock._now
         stats.messages_sent += 1
-        if fast:
-            assert src_params is not None and plan.server_dst is not None
-            lost, latency = _leg(plan, src_params, plan.server_dst)
-        else:
-            lost, latency = plan.network._traverse(
-                plan.egress_profiles[egress_index], plan.server_profile)
+        lost, latency = _leg(plan, src_params, dst_params)
         if lost:
             stats.requests_lost += 1
             clock._now = sent_at + _DEFAULT_TIMEOUT
@@ -951,14 +849,10 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
         # lost.  Inlined QueryLog.record: the suffix buckets above the
         # fresh qname are the precomputed base-domain tail lists.
         timestamp = clock._now
-        if _FAST_LAYOUT:
-            entry = _obj_new(LogEntry)
-            _obj_setattr(entry, "__dict__",
-                         {"timestamp": timestamp, "src_ip": egress_ip,
-                          "qname": qname, "qtype": qtype, "msg_id": msg_id})
-        else:
-            entry = LogEntry(timestamp=timestamp, src_ip=egress_ip,
-                             qname=qname, qtype=qtype, msg_id=msg_id)
+        entry = _obj_new(LogEntry)
+        _obj_setattr(entry, "__dict__",
+                     {"timestamp": timestamp, "src_ip": egress_ip,
+                      "qname": qname, "qtype": qtype, "msg_id": msg_id})
         if plan.log_indexed:
             position = len(log._entries)
             timestamps = log._timestamps
@@ -976,12 +870,7 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
             for tail in plan.suffix_tails:
                 tail.append(position)
         log._entries.append(entry)
-        if fast:
-            assert src_params is not None and plan.server_dst is not None
-            lost, latency = _leg(plan, src_params, plan.server_dst)
-        else:
-            lost, latency = plan.network._traverse(
-                plan.egress_profiles[egress_index], plan.server_profile)
+        lost, latency = _leg(plan, src_params, dst_params)
         if lost:
             stats.responses_lost += 1
             deadline = sent_at + _DEFAULT_TIMEOUT
@@ -1005,9 +894,9 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
     ingested_at = clock._now
     _, wset, _, wrecords, ttl0 = template
     clamped = cache.clamp_ttl(ttl0)
-    if _FAST_LAYOUT and clamped >= 0:
-        # Layout-checked __dict__ construction; the real path would raise
-        # on a negative TTL, so that (unreachable) case keeps it.
+    if clamped >= 0:
+        # __dict__ construction; the real path would raise on a negative
+        # TTL, so that (unreachable) case keeps it.
         records = []
         for record in wrecords:
             owned = _obj_new(ResourceRecord)
@@ -1041,171 +930,6 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
         expires_at=ingested_at + clamped,
         rrset=stored,
     ), ingested_at)
-
-
-def _fused_upstream_slow(plan: _FastPlan, cache: DnsCache, cache_index: int,
-                         qname: DnsName, qtype: RRType) -> bool:
-    """Full fused upstream: gate with peeks, commit with real calls.
-
-    This is the path every (platform, cache) pair takes while cold; on
-    success it memoizes the corridor entries and the wildcard template so
-    subsequent probes take the warm branch of :func:`_fused_upstream`.
-    """
-    clock = plan.clock
-    now = clock._now
-
-    # -- pure gate: replay _closest_known_authority with stat-free peeks.
-    authority_ips: list[str] = []
-    for zone_name in qname.ancestors(include_self=True):
-        ns_entry = cache.peek(zone_name, RRType.NS, now)
-        if ns_entry is None or ns_entry.kind != EntryKind.POSITIVE:
-            continue
-        ips: list[str] = []
-        assert ns_entry.rrset is not None
-        for record in ns_entry.rrset:
-            if not isinstance(record.rdata, NsRdata):
-                return False
-            address_entry = cache.peek(record.rdata.nsdname, RRType.A, now)
-            if address_entry is not None and \
-                    address_entry.kind == EntryKind.POSITIVE:
-                assert address_entry.rrset is not None
-                for a_record in address_entry.rrset:
-                    ips.append(a_record.rdata.address)  # type: ignore[attr-defined]
-        if ips:
-            authority_ips = ips
-            break
-    if authority_ips != [plan.ns_ip]:
-        return False            # cold cache or unexpected authority set
-
-    # -- pure gate: the server must answer this in one authoritative lookup.
-    zone = plan.server.zone_for(qname)
-    if zone is None:
-        return False
-    lookup = zone.lookup(qname, qtype)
-    if lookup.kind != LookupKind.ANSWER or not lookup.records:
-        return False
-
-    # -- committed: replay the real mutation sequence, in order. --
-
-    # IterativeResolver._from_cache — the caller just missed, so both gets
-    # miss again; the calls must still happen (they move cache stats).
-    cache.get(qname, qtype, now)
-    if qtype != RRType.CNAME:
-        cache.get(qname, RRType.CNAME, now)
-    # _closest_known_authority again, now with the mutating gets (stats,
-    # recency touches, expired-entry deletion).  peek and get agree on
-    # hit-or-miss at the same ``now``, so the walk stops where the gate did.
-    walk_zone_name: Optional[DnsName] = None
-    walk_ns_entry: Optional[CacheEntry] = None
-    walk_a_entry: Optional[CacheEntry] = None
-    walk_a_entries = 0
-    for zone_name in qname.ancestors(include_self=True):
-        ns_entry2 = cache.get(zone_name, RRType.NS, now)
-        if ns_entry2 is None or ns_entry2.kind != EntryKind.POSITIVE:
-            continue
-        walk_ips: list[str] = []
-        assert ns_entry2.rrset is not None
-        for record in ns_entry2.rrset:
-            assert isinstance(record.rdata, NsRdata)
-            address_entry2 = cache.get(record.rdata.nsdname, RRType.A, now)
-            if address_entry2 is not None and \
-                    address_entry2.kind == EntryKind.POSITIVE:
-                assert address_entry2.rrset is not None
-                for a_record2 in address_entry2.rrset:
-                    walk_ips.append(
-                        a_record2.rdata.address)  # type: ignore[attr-defined]
-                walk_a_entry = address_entry2
-                walk_a_entries += 1
-        if walk_ips:
-            walk_zone_name = zone_name
-            walk_ns_entry = ns_entry2
-            break
-
-    # _try_servers: shuffling the one-candidate list draws nothing; the
-    # query-id draw and the per-send egress draw happen in this order, once
-    # per send call (retransmissions reuse both).
-    msg_id = plan.platform.rng.randrange(1 << 16)
-    egress_index = plan.egress_selector.select(plan.ns_ip, plan.n_egress)
-    egress_ip = plan.egress_ips[egress_index]
-    src_profile = plan.egress_profiles[egress_index]
-    network = plan.network
-    stats = plan.stats
-    delivered = False
-    attempts = 0
-    while attempts <= _DEFAULT_RETRIES:
-        attempts += 1
-        if attempts > 1:
-            stats.retransmissions += 1
-        sent_at = clock.now
-        stats.messages_sent += 1
-        lost, request_latency = network._traverse(src_profile,
-                                                  plan.server_profile)
-        if lost:
-            stats.requests_lost += 1
-            clock.advance_to(sent_at + _DEFAULT_TIMEOUT)
-            continue
-        clock.advance(request_latency)
-        # AuthoritativeServer.handle_message logs every attempt whose
-        # request leg survived — including those whose response is then
-        # lost: the server did its work either way.  Retransmissions share
-        # (src, msg_id, question), so transaction counting dedups them.
-        plan.query_log.record(LogEntry(
-            timestamp=clock.now, src_ip=egress_ip,
-            qname=qname, qtype=qtype, msg_id=msg_id,
-        ))
-        lost, response_latency = network._traverse(src_profile,
-                                                   plan.server_profile)
-        if lost:
-            stats.responses_lost += 1
-            clock.advance_to(max(clock.now,
-                                 sent_at + _DEFAULT_TIMEOUT))
-            continue
-        clock.advance(response_latency)
-        stats.messages_delivered += 1
-        delivered = True
-        break
-    if not delivered:
-        stats.timeouts += 1
-        raise ResolutionError(
-            f"no authority for {qname} responded (zone {zone.origin})")
-    plan.platform.stats.upstream_queries += 1
-    # _ingest_response: cache exactly what the server's answer carries.
-    # The zone synthesizes fresh (content-identical) records per lookup, so
-    # the gate's lookup stands in for the answered attempt's.
-    ingested_at = clock.now
-    for rrset in group_rrsets(lookup.records):
-        cache.put_rrset(rrset, ingested_at)
-
-    # -- memoize the warm corridor for _fused_upstream -----------------------
-    # Eligible only in the canonical shape: the walk stopped at the base
-    # domain (the first ancestor every fresh corridor name shares), on a
-    # single-record NS set resolved through exactly one address entry.
-    if (walk_zone_name == plan.base_domain and walk_ns_entry is not None
-            and walk_a_entry is not None and walk_a_entries == 1
-            and len(walk_ns_entry.rrset.records) == 1  # type: ignore[union-attr]
-            and authority_ips == [plan.ns_ip]):
-        first = walk_ns_entry.rrset.records[0]  # type: ignore[union-attr]
-        assert isinstance(first.rdata, NsRdata)
-        plan.a_key = (first.rdata.nsdname, RRType.A)
-        plan.corridor[cache_index] = (walk_ns_entry, walk_a_entry)
-    if plan.template is None and qtype is RRType.A and \
-            zone.origin == plan.base_domain:
-        wkey = (plan.base_domain.prepend(WILDCARD_LABEL), RRType.A)
-        wset = zone._rrsets.get(wkey)
-        # Self-check: the real lookup's answer must be exactly the wildcard
-        # synthesis this template would produce for qname.
-        if wset is not None and wset.records and lookup.records == [
-                ResourceRecord(qname, record.rtype, record.ttl,
-                               record.rdata, record.rclass)
-                for record in wset.records]:
-            min_ttl = wset.records[0].ttl
-            for record in wset.records:
-                if record.ttl < min_ttl:
-                    min_ttl = record.ttl
-            plan.zone = zone
-            plan.template = (wkey, wset, len(wset.records),
-                             tuple(wset.records), min_ttl)
-    return True
 
 
 class ShardLane:

@@ -112,12 +112,12 @@ def format_perf(perf: Optional[PerfCounters],
         # probe through the fused corridor.  Fallback probes mean the
         # corridor declined a platform (_FastPlan.build: a fault or retry
         # profile, wire fidelity, a closed, deduplicating or prefetching
-        # resolver, a forwarder in front of the ingress) and its probes ran
-        # at object-per-message speed.  Link models outside the inline gate
-        # and a failed layout check slow the corridor but do not leave it.
-        # A corridor out of step with the structured path is not a
-        # fallback: it shows as wrong state, which the fused-vs-structured
-        # differential in tests/test_study_parallel.py catches.
+        # resolver, a forwarder in front of the ingress, a link model
+        # outside the inline traversal's gate) and its probes ran at
+        # object-per-message speed.  A corridor out of step with the
+        # structured path is not a fallback: it shows as wrong state,
+        # which the fused-vs-structured differential in
+        # tests/test_study_parallel.py catches.
         rows.append(("fused probes", perf.fused_probes))
         rows.append(("fallback probes", perf.fallback_probes))
         ratio = (f"{100 * perf.fused_probes / total_probes:.1f}%"

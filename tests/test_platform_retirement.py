@@ -15,6 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.dns.rrtype import RRType
+from repro.net.latency import LogNormalLatency, UniformLatency
+from repro.net.loss import BurstLoss, NoLoss
+from repro.net.network import LinkProfile
+from repro.resolver.platform import ResolutionPlatform
 from repro.study import (
     MeasurementBudget,
     ShardLane,
@@ -156,3 +160,59 @@ class TestFusedPlanEligibility:
         spec = generate_population("open-resolvers", 1, seed=SEED, **CAPS)[0]
         hosted = world.add_platform_from_spec(spec)
         assert _FastPlan.build(world, hosted) is not None
+
+    def test_default_world_upstreams_stay_on_the_fast_tiers(
+            self, monkeypatch):
+        """Fused probes whose upstreams all fell back to the real resolver
+        would still count as fused; pin that none do."""
+        calls = []
+        resolve_upstream = ResolutionPlatform._resolve_upstream
+
+        def counted(platform, cache, qname, qtype):
+            calls.append(qname)
+            return resolve_upstream(platform, cache, qname, qtype)
+
+        monkeypatch.setattr(ResolutionPlatform, "_resolve_upstream", counted)
+        lane = ShardLane(_task("open-resolvers", count=3))
+        outcome = lane.run_to_completion()
+        assert outcome.perf.fused_probes > 0
+        assert outcome.perf.fallback_probes == 0
+        assert calls == []
+        assert lane.cold_chains
+        assert all(chain.levels is not None
+                   for chain in lane.cold_chains.values())
+
+    @pytest.mark.parametrize("profile", [
+        lambda: LinkProfile(UniformLatency(), NoLoss()),
+        lambda: LinkProfile(LogNormalLatency(), BurstLoss()),
+    ], ids=["uniform-latency", "burst-loss"])
+    def test_out_of_gate_ingress_takes_the_structured_path(
+            self, profile, monkeypatch):
+        task = _task("open-resolvers", count=3)
+        add_platform = SimulatedInternet.add_platform_from_spec
+
+        def run(fused):
+            def shaped(world, spec):
+                hosted = add_platform(world, spec)
+                if spec is task.specs[1]:
+                    world.network.register_many(
+                        hosted.platform.ingress_ips, hosted.platform,
+                        profile())
+                return hosted
+
+            with monkeypatch.context() as patch:
+                patch.setattr(SimulatedInternet, "add_platform_from_spec",
+                              shaped)
+                if not fused:
+                    patch.setattr(_FastPlan, "build", staticmethod(
+                        lambda *args, **kwargs: None))
+                lane = ShardLane(task)
+                outcome = lane.run_to_completion()
+            return outcome, lane.world.network.stats
+
+        outcome, stats = run(fused=True)
+        structured, structured_stats = run(fused=False)
+        assert outcome.perf.fused_probes > 0
+        assert outcome.perf.fallback_probes == outcome.rows[1].queries_used
+        assert outcome.rows == structured.rows
+        assert stats == structured_stats
