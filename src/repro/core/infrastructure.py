@@ -73,11 +73,9 @@ class CdeInfrastructure:
                  ns_ip: str = "203.0.113.53",
                  answer_ip: str = "203.0.113.100",
                  sub_ns_ip_base: str = "203.0.113.",
-                 profile: Optional[LinkProfile] = None,
-                 indexed_logs: bool = True):
+                 profile: Optional[LinkProfile] = None):
         self.network = network
         self.hierarchy = hierarchy
-        self.indexed_logs = indexed_logs
         self.base_domain = make_name(base_domain)
         self.ns_ip = ns_ip
         self.answer_ip = answer_ip
@@ -117,8 +115,7 @@ class CdeInfrastructure:
         # The measurement nameserver withholds CNAME targets (minimal
         # responses) so each cache must resolve the target itself.
         self.server = AuthoritativeServer(f"cde-ns-{base_domain}",
-                                          minimal_responses=True,
-                                          indexed_log=indexed_logs)
+                                          minimal_responses=True)
         self.server.add_zone(self.zone)
         network.register(ns_ip, self.server, profile)
         hierarchy.delegate(self.base_domain, self.ns_name, ns_ip)
@@ -257,8 +254,7 @@ class CdeInfrastructure:
             sub_zone.add_record(a_record(leaf, self.answer_ip, ttl=ttl))
             names.append(leaf)
 
-        server = AuthoritativeServer(f"cde-ns-{origin}",
-                                     indexed_log=self.indexed_logs)
+        server = AuthoritativeServer(f"cde-ns-{origin}")
         server.add_zone(sub_zone)
         self.network.register(ns_ip, server, self._profile)
 

@@ -38,9 +38,6 @@ class ShardPerf:
     #: object-per-message path (zero for shards run outside the engine).
     fused_probes: int = 0
     fallback_probes: int = 0
-    #: Wire-codec name-cache activity attributed to this shard.
-    wire_cache_hits: int = 0
-    wire_cache_misses: int = 0
 
     @property
     def queries_per_second(self) -> float:
@@ -61,8 +58,6 @@ class PerfCounters:
     shards: list[ShardPerf] = field(default_factory=list)
     fused_probes: int = 0
     fallback_probes: int = 0
-    wire_cache_hits: int = 0
-    wire_cache_misses: int = 0
 
     # -- accumulation -----------------------------------------------------
 
@@ -81,8 +76,6 @@ class PerfCounters:
         self.platforms += shard.platforms
         self.fused_probes += shard.fused_probes
         self.fallback_probes += shard.fallback_probes
-        self.wire_cache_hits += shard.wire_cache_hits
-        self.wire_cache_misses += shard.wire_cache_misses
         self.merge_stats(shard.stats)
 
     def merge(self, other: "PerfCounters") -> None:
@@ -123,8 +116,6 @@ class PerfCounters:
             "engine": {
                 "fused_probes": self.fused_probes,
                 "fallback_probes": self.fallback_probes,
-                "wire_cache_hits": self.wire_cache_hits,
-                "wire_cache_misses": self.wire_cache_misses,
             },
             "network": {
                 "messages_sent": self.stats.messages_sent,

@@ -35,12 +35,11 @@ class AuthoritativeServer:
 
     def __init__(self, server_id: str, minimal_responses: bool = False,
                  edns_payload_size: Optional[int] = 4096,
-                 rrl_rate: Optional[float] = None, rrl_burst: int = 10,
-                 indexed_log: bool = True):
+                 rrl_rate: Optional[float] = None, rrl_burst: int = 10):
         self.server_id = server_id
         self.minimal_responses = minimal_responses
         self.edns_payload_size = edns_payload_size
-        self.query_log = QueryLog(indexed=indexed_log)
+        self.query_log = QueryLog()
         self._zones: list[Zone] = []
         self.online = True  # resilience experiments may take servers down
         #: Response rate limiting: at most ``rrl_rate`` responses/second per

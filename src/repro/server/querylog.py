@@ -15,15 +15,22 @@ two incremental indexes (built as entries are recorded):
   ``count_transactions``, ``sources(qname=...)``) touch only that name's
   entries;
 * **by suffix** — every entry is indexed under each ancestor of its qname,
-  so ``count_under``/``sources(suffix=...)`` touch only the subtree.
+  so ``count_under``/``sources(suffix=...)`` touch only the subtree.  The
+  buckets above a qname are those of its parent's ancestor chain; probe
+  names are mostly fresh children of a few parents, so :meth:`record`
+  resolves each parent's chain once and keeps it until :meth:`forget`.
+
+:class:`QueryLog` is the only code that knows this layout: every arrival,
+the engine's fused corridor included, goes through :meth:`record`.
 
 Within any index bucket (and the log itself) timestamps are nondecreasing
 — the simulated clock never runs backwards — so ``since`` filters bisect
 instead of scanning.  Should an out-of-order timestamp ever be recorded,
 the log detects it and falls back to linear ``since`` filtering.
 
-``QueryLog(indexed=False)`` preserves the original full-scan behaviour;
-the scaling benches use it to measure exactly what the indexes buy.
+``QueryLog(indexed=False)`` preserves the original full-scan behaviour.
+It is the reference the index differential tests compare against, and
+the log benches install it to measure exactly what the indexes buy.
 
 A streamed census measures one platform after another in the same
 world, so :meth:`forget` drops every entry once a platform's row is out
@@ -62,9 +69,10 @@ class QueryLog:
         #: Entry positions per exact qname / per qname ancestor (incl. self).
         self._by_qname: dict[DnsName, list[int]] = {}
         self._by_suffix: dict[DnsName, list[int]] = {}
-        #: Suffix buckets handed out by :meth:`suffix_bucket`, whose holders
-        #: append to them directly; :meth:`forget` empties them in place.
-        self._held: dict[DnsName, list[int]] = {}
+        #: Per distinct parent name, the ``_by_suffix`` buckets of its
+        #: ancestor chain (itself included), so :meth:`record` resolves a
+        #: chain once per parent rather than once per entry.
+        self._parent_buckets: dict[DnsName, tuple[list[int], ...]] = {}
         #: Timestamps parallel to ``_entries`` (for ``since`` bisection).
         self._timestamps: list[float] = []
         self._monotonic = True
@@ -74,25 +82,22 @@ class QueryLog:
     def record(self, entry: LogEntry) -> None:
         if self.indexed:
             position = len(self._entries)
+            qname = entry.qname
             if self._timestamps and entry.timestamp < self._timestamps[-1]:
                 self._monotonic = False
             self._timestamps.append(entry.timestamp)
-            self._by_qname.setdefault(entry.qname, []).append(position)
-            for ancestor in entry.qname.ancestors(include_self=True):
-                self._by_suffix.setdefault(ancestor, []).append(position)
+            self._by_qname.setdefault(qname, []).append(position)
+            self._by_suffix.setdefault(qname, []).append(position)
+            parent = qname.parent
+            if parent is not qname:         # the root is its own parent
+                chain = self._parent_buckets.get(parent)
+                if chain is None:
+                    chain = self._parent_buckets[parent] = tuple(
+                        self._by_suffix.setdefault(ancestor, [])
+                        for ancestor in parent.ancestors(include_self=True))
+                for bucket in chain:
+                    bucket.append(position)
         self._entries.append(entry)
-
-    def suffix_bucket(self, suffix: DnsName) -> list[int]:
-        """The live index bucket of ``suffix``.
-
-        For a caller that records entries under ``suffix`` inline (the
-        fused corridor resolves its base domain's ancestor chain once):
-        :meth:`forget` and :meth:`clear` empty the bucket in place, so the
-        caller's list stays the index.
-        """
-        bucket = self._by_suffix.setdefault(suffix, [])
-        self._held[suffix] = bucket
-        return bucket
 
     @property
     def total_recorded(self) -> int:
@@ -110,9 +115,7 @@ class QueryLog:
         self._marks.clear()
         self._by_qname.clear()
         self._by_suffix.clear()
-        for suffix, bucket in self._held.items():
-            bucket.clear()
-            self._by_suffix[suffix] = bucket
+        self._parent_buckets.clear()
         self._timestamps.clear()
         self._monotonic = True
 

@@ -37,10 +37,11 @@ The fast path rests on one structural fact the engine controls: corridor
 probe names come from ``cde.unique_name``/``unique_names`` *immediately*
 before probing, so they are fresh children of the CDE base domain that no
 cache, zone or log has ever seen.  Every cache lookup at such a name is a
-provable miss, the zone answer is pure wildcard synthesis, and the query
-log's suffix buckets above the name are fixed.  The fast path verifies the
-cheap invariants per probe (entry identity, wildcard RRset identity, key
-absence) and falls back wholesale when any fails.
+provable miss and the zone answer is pure wildcard synthesis.  Arrivals
+are logged through :meth:`QueryLog.record`, which owns the log's indexes.
+The fast path verifies the cheap invariants per probe (entry identity,
+wildcard RRset identity, key absence) and falls back wholesale when any
+fails.
 
 Determinism is the contract: driving a :class:`ShardLane` to completion
 produces rows byte-identical to
@@ -70,7 +71,6 @@ from ..dns.record import (
     group_rrsets,
 )
 from ..dns.rrtype import RCode, RRType
-from ..dns.wire import wire_cache_counters
 from ..dns.zone import WILDCARD_LABEL, Zone
 from ..net.latency import ConstantLatency, LogNormalLatency
 from ..net.loss import BernoulliLoss, NoLoss
@@ -103,12 +103,10 @@ _CorridorMemo = tuple[CacheEntry, CacheEntry]
 _Template = tuple[tuple[DnsName, RRType], RRSet, int,
                   tuple[ResourceRecord, ...], int]
 #: One referral hop of the cold-resolution chain:
-#: (server, zone-name for the error message, dst link params, RRsets its
-#: referral response makes the resolver cache, the server's query log,
-#: and — when that log is indexed — the suffix-bucket lists of the base
-#: domain's ancestor chain, for the inlined record()).
+#: (server, zone-name for the error message, dst link params, and the
+#: RRsets its referral response makes the resolver cache).
 _ColdLevel = tuple[AuthoritativeServer, DnsName, _LegParams,
-                   tuple[RRSet, ...], QueryLog, Optional[list[list[int]]]]
+                   tuple[RRSet, ...]]
 #: Zone-shape token guarding a captured chain: (server, zone, zone count,
 #: rrset count).  Any mismatch forces a re-capture before the next replay.
 _ColdToken = tuple[AuthoritativeServer, Zone, int, int]
@@ -276,13 +274,7 @@ class _ColdChain:
                 first = ns_sets[0]
                 assert isinstance(first.rdata, NsRdata)
                 self.a_key = (first.rdata.nsdname, RRType.A)
-            level_log = endpoint.query_log
-            tails = [
-                level_log.suffix_bucket(ancestor)
-                for ancestor in self.base_domain.ancestors(include_self=True)
-            ] if level_log.indexed else None
-            levels.append((endpoint, zone_name, params, tuple(ingest),
-                           level_log, tails))
+            levels.append((endpoint, zone_name, params, tuple(ingest)))
             zone_name = new_zone
             server_ip = next_ips[0]
         return
@@ -324,7 +316,7 @@ class _FastPlan:
         "prober_randrange", "platform_randrange", "egress_randrange",
         "probe_src", "probe_dst", "server_dst", "egress_src",
         "sel_kind", "sel_state",
-        "log_indexed", "suffix_tails", "zone", "template", "ns_key", "a_key",
+        "zone", "template", "ns_key", "a_key",
         "corridor", "cold", "cold_walk_misses",
     )
 
@@ -383,15 +375,6 @@ class _FastPlan:
             self.sel_kind = 4
             self.sel_state = _stable_hash(
                 selector._salt, self.prober_ip) % self.n_caches
-        log = self.query_log
-        self.log_indexed: bool = log.indexed
-        # The suffix buckets above any corridor name are those of the base
-        # domain's own ancestor chain — fixed list objects, resolved once
-        # (``QueryLog.forget`` empties them in place).
-        self.suffix_tails: list[list[int]] = [
-            log.suffix_bucket(ancestor)
-            for ancestor in self.base_domain.ancestors(include_self=True)
-        ] if log.indexed else []
         # Seeded from the lane-shared cold chain by each cold replay.
         self.zone: Optional[Zone] = None
         self.template: Optional[_Template] = None
@@ -709,7 +692,7 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
     stats = plan.stats
     levels = plan.cold.levels
     assert levels is not None
-    for server, zone_name, dst_params, ingest, level_log, tails in levels:
+    for server, zone_name, dst_params, ingest in levels:
         msg_id = plan.platform_randrange(1 << 16)
         egress_index = plan.egress_randrange(plan.n_egress)
         egress_ip = plan.egress_ips[egress_index]
@@ -728,33 +711,11 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
                 clock._now = sent_at + _DEFAULT_TIMEOUT
                 continue
             clock._now = sent_at + latency
-            # Inlined QueryLog.record against this level's log; the suffix
-            # buckets above the fresh qname are the tail lists captured
-            # with the chain.
-            timestamp = clock._now
             entry = _obj_new(LogEntry)
             _obj_setattr(entry, "__dict__",
-                         {"timestamp": timestamp, "src_ip": egress_ip,
+                         {"timestamp": clock._now, "src_ip": egress_ip,
                           "qname": qname, "qtype": qtype, "msg_id": msg_id})
-            if tails is not None:
-                position = len(level_log._entries)
-                timestamps = level_log._timestamps
-                if timestamps and timestamp < timestamps[-1]:
-                    level_log._monotonic = False
-                timestamps.append(timestamp)
-                bucket = level_log._by_qname.get(qname)
-                if bucket is None:
-                    level_log._by_qname[qname] = bucket = []
-                bucket.append(position)
-                own = level_log._by_suffix.get(qname)
-                if own is None:
-                    level_log._by_suffix[qname] = own = []
-                own.append(position)
-                for tail in tails:
-                    tail.append(position)
-                level_log._entries.append(entry)
-            else:
-                level_log.record(entry)
+            server.query_log.record(entry)
             lost, latency = _leg(plan, src_params, dst_params)
             if lost:
                 stats.responses_lost += 1
@@ -846,30 +807,12 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
         clock._now = sent_at + latency
         # AuthoritativeServer.handle_message logs every attempt whose
         # request leg survived — including those whose response is then
-        # lost.  Inlined QueryLog.record: the suffix buckets above the
-        # fresh qname are the precomputed base-domain tail lists.
-        timestamp = clock._now
+        # lost.
         entry = _obj_new(LogEntry)
         _obj_setattr(entry, "__dict__",
-                     {"timestamp": timestamp, "src_ip": egress_ip,
+                     {"timestamp": clock._now, "src_ip": egress_ip,
                       "qname": qname, "qtype": qtype, "msg_id": msg_id})
-        if plan.log_indexed:
-            position = len(log._entries)
-            timestamps = log._timestamps
-            if timestamps and timestamp < timestamps[-1]:
-                log._monotonic = False
-            timestamps.append(timestamp)
-            bucket = log._by_qname.get(qname)
-            if bucket is None:
-                log._by_qname[qname] = bucket = []
-            bucket.append(position)
-            own = log._by_suffix.get(qname)
-            if own is None:
-                log._by_suffix[qname] = own = []
-            own.append(position)
-            for tail in plan.suffix_tails:
-                tail.append(position)
-        log._entries.append(entry)
+        log.record(entry)
         lost, latency = _leg(plan, src_params, dst_params)
         if lost:
             stats.responses_lost += 1
@@ -958,7 +901,6 @@ class ShardLane:
         #: platform plans (the chain is world state, not platform state).
         self.cold_chains: dict[tuple[str, ...], _ColdChain] = {}
         self._stats_before = snapshot_stats(self.world.network.stats)
-        self._wire_before = wire_cache_counters()
         self.busy_seconds = time.perf_counter() - started
 
     def _direct_probe(self, hosted: HostedPlatform
@@ -1019,7 +961,6 @@ class ShardLane:
         """
         if self.platforms_done < len(self.task.specs):
             raise RuntimeError("lane still has work pending")
-        wire_hits, wire_misses = wire_cache_counters()
         perf = ShardPerf(
             shard_index=self.task.shard_index,
             platforms=self.platforms_done,
@@ -1031,11 +972,6 @@ class ShardLane:
             stats=stats_delta(self._stats_before, self.world.network.stats),
             fused_probes=self.fused_probes,
             fallback_probes=self.fallback_probes,
-            # The codec cache is process-global; with several lanes in one
-            # process the delta is an attribution, not an exact per-lane
-            # count.
-            wire_cache_hits=wire_hits - self._wire_before[0],
-            wire_cache_misses=wire_misses - self._wire_before[1],
         )
         return ShardOutcome(shard_index=self.task.shard_index,
                             positions=self.task.positions,

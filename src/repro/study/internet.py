@@ -76,10 +76,6 @@ class WorldConfig:
     #: Route every message through the RFC 1035 wire codec (slower;
     #: validates that all traffic survives real encoding).
     wire_fidelity: bool = False
-    #: Keep the CDE nameserver query logs indexed (sub-linear counting).
-    #: ``False`` restores the seed's full-scan log — only the scaling
-    #: benches use it, to measure what the indexes buy.
-    indexed_logs: bool = True
     #: Named fault profile (see :data:`repro.net.faults.FAULT_PROFILES`).
     #: ``"none"`` attaches no injector at all — every code path and RNG
     #: draw stays byte-identical to a fault-free world.  Carried as a
@@ -116,8 +112,7 @@ class SimulatedInternet:
         self.hierarchy = RootHierarchy(self.network, profile=infra_profile)
         self.cde = CdeInfrastructure(self.network, self.hierarchy,
                                      base_domain=self.config.base_domain,
-                                     profile=infra_profile,
-                                     indexed_logs=self.config.indexed_logs)
+                                     profile=infra_profile)
 
         prober_profile = LinkProfile(
             latency=wan_path(self.config.prober_latency,

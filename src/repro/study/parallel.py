@@ -285,8 +285,7 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
                                 n_shards: Optional[int] = None,
                                 config: Optional[WorldConfig] = None,
                                 budget: Optional[MeasurementBudget] = None,
-                                force_pool: bool = False,
-                                spill_dir: Optional[str] = None
+                                force_pool: bool = False
                                 ) -> StreamingMeasurement:
     """Measure a population as a bounded-memory stream of rows.
 
@@ -298,8 +297,7 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
       the next spec position takes one step, so no lane runs ahead;
     * on a pool, workers spill finished rows to per-shard files
       (:func:`_run_shard_spill`) and the parent re-reads them one row at a
-      time in stripe order (``spill_dir`` picks where; default the system
-      temp dir).
+      time in stripe order (from a directory under the system temp dir).
 
     Both branches reassemble through :func:`_in_stripe_order`.
     """
@@ -325,8 +323,7 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
             # multiprocessing; an in-process census never loads them.
             from concurrent.futures import ProcessPoolExecutor
 
-            spill = tempfile.TemporaryDirectory(prefix="census-spill-",
-                                                dir=spill_dir)
+            spill = tempfile.TemporaryDirectory(prefix="census-spill-")
             try:
                 handoffs = [
                     (_encode_task(task),

@@ -8,6 +8,11 @@ filter combination — plus regression coverage for ``count`` forwarding
 *all* of ``entries``'s filters (``src_ip`` and ``predicate`` used to be
 silently dropped), and for :meth:`QueryLog.forget`: afterwards the log
 answers exactly like a fresh one.
+
+The qnames share parents (``record`` resolves each parent's suffix
+buckets once and must drop that memo on ``forget``/``clear``), include
+fresh probe-style children of one parent, and include the root, whose
+only suffix bucket is its own.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from repro.server.querylog import LogEntry, QueryLog
 
 QNAMES = [name(text) for text in (
     "a.example.", "b.example.", "deep.a.example.", "deeper.deep.a.example.",
-    "other.test.", "_dmarc.b.example.",
+    "other.test.", "_dmarc.b.example.", "example.", ".",
+    "x-1.cache.example.", "x-2.cache.example.", "x-3.cache.example.",
 )]
 QTYPES = [RRType.A, RRType.TXT, RRType.MX]
 SOURCES = ["10.0.0.1", "10.0.0.2", "192.0.2.9"]
@@ -85,7 +91,7 @@ class TestIndexedMatchesFullScan:
 
     @pytest.mark.parametrize("suffix", [
         name("example."), name("a.example."), name("deep.a.example."),
-        name("nowhere.test."), DnsName.root(),
+        name("cache.example."), name("nowhere.test."), DnsName.root(),
     ])
     @pytest.mark.parametrize("since", [None, MID_TS])
     def test_entries_under_and_count_under(self, suffix, since):
@@ -178,6 +184,8 @@ class TestLifecycle:
         log.record(LogEntry(timestamp=1.0, src_ip="10.9.9.9",
                             qname=QNAMES[0], qtype=RRType.A))
         assert log.count(qname=QNAMES[0]) == 1
+        assert log.count_under(name("example.")) == 1
+        assert log.count_under(DnsName.root()) == 1
 
     def test_marks_unaffected_by_indexing(self):
         indexed, scan = _pair(count=40)
@@ -208,8 +216,6 @@ class TestForget:
                         qtype=entry.qtype, msg_id=entry.msg_id)
                for entry in _random_entries(after, seed=seed + 1)]
         log, fresh = QueryLog(indexed=indexed), QueryLog(indexed=indexed)
-        held = log.suffix_bucket(name("example."))
-        fresh.suffix_bucket(name("example."))
         for entry in old:
             log.record(entry)
         log.mark("m")
@@ -220,15 +226,14 @@ class TestForget:
 
         assert log.total_recorded == before + after
         assert len(log) == after and list(log) == new
-        if indexed:
-            assert held is log._by_suffix[name("example.")]
         since = offset + cut * (new[-1].timestamp - offset) if new else None
         for qname in [None] + QNAMES:
             assert log.count(qname=qname, since=since) == \
                 fresh.count(qname=qname, since=since)
             assert log.count_transactions(qname=qname, since=since) == \
                 fresh.count_transactions(qname=qname, since=since)
-        for suffix in (name("example."), name("a.example."), name(".")):
+        for suffix in (name("example."), name("a.example."),
+                       name("cache.example."), name(".")):
             assert log.count_under(suffix, since=since) == \
                 fresh.count_under(suffix, since=since)
         for under in (False, True):
@@ -238,21 +243,3 @@ class TestForget:
         assert log.sources(suffix=name("example."), since=since) == \
             fresh.sources(suffix=name("example."), since=since)
         assert log.since_mark("m") == new
-
-    def test_held_bucket_stays_the_index(self):
-        """A caller recording inline into a held bucket after a forget is
-        still seen by suffix reads (the fused corridor does this)."""
-        log = QueryLog()
-        suffix = name("example.")
-        held = log.suffix_bucket(suffix)
-        log.record(LogEntry(timestamp=1.0, src_ip="10.0.0.1",
-                            qname=QNAMES[0], qtype=RRType.A))
-        log.forget()
-        assert held == [] and log.count_under(suffix) == 0
-        log.record(LogEntry(timestamp=2.0, src_ip="10.0.0.2",
-                            qname=QNAMES[1], qtype=RRType.A))
-        assert held == [0]
-        assert log.count_under(suffix) == 1
-        assert log.total_recorded == 2
-        log.clear()
-        assert held == [] and log.total_recorded == 0
