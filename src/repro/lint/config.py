@@ -48,14 +48,11 @@ class LintConfig:
     ordered_paths: tuple[str, ...] = (
         "repro/study/", "repro/core/", "repro/server/",
     )
-    #: ``path::function`` shard-worker entry points (CDE004).
-    #: ``run_shard`` reaches the engine through a lazy import (the engine
-    #: imports parallel for its task types), so the lane drivers are
-    #: listed explicitly: one lane run to completion, and the in-process
-    #: stream that steps every lane.
+    #: ``path::function`` shard-worker entry points (CDE004): the two lane
+    #: drivers — ``run_shard``, which runs one lane to completion (the pool
+    #: worker's loop), and the in-process stream that steps every lane.
     shard_entries: tuple[str, ...] = (
         "repro/study/parallel.py::run_shard",
-        "repro/study/engine.py::ShardLane.run_to_completion",
         "repro/study/parallel.py::stream_parallel_measurement._stream",
         "repro/study/measurement.py::measure_population",
         # measure_population reaches these through the MEASURES dict (a

@@ -90,6 +90,10 @@ class PlatformConfig:
             raise ValueError("platform needs at least one egress IP")
         if self.n_caches < 1:
             raise ValueError("platform needs at least one cache")
+        # The window DnsCache enforces: 0 <= min_ttl <= max_ttl.
+        low = 0 if self.min_ttl is None else self.min_ttl
+        if low < 0 or (self.max_ttl is not None and self.max_ttl < low):
+            raise ValueError("need 0 <= min_ttl <= max_ttl")
 
 
 @dataclass

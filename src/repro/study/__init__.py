@@ -77,7 +77,6 @@ if TYPE_CHECKING:
     from .parallel import (
         DEFAULT_SHARDS,
         MIN_PLATFORMS_PER_WORKER,
-        ShardOutcome,
         ShardTask,
         StreamingMeasurement,
         plan_shards,

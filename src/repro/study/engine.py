@@ -6,9 +6,10 @@
   clock, one RNG factory and one address allocator, so their order is part
   of the seeded determinism and must not change.  Lanes' worlds are fully
   independent, so the order in which a driver steps *different* lanes
-  cannot change any row; :func:`~repro.study.parallel.run_shard` steps one
-  lane to completion, and the in-process stream steps whichever lane owns
-  the next spec position.
+  cannot change any row.  Two drivers exist:
+  :func:`~repro.study.parallel.run_shard` steps one lane to completion (a
+  pool worker, or a test), and the in-process stream steps whichever lane
+  owns the next spec position.
 * Open resolvers are measured by the one direct procedure,
   :func:`~repro.study.measurement.measure_direct` (adaptive enumeration,
   then the egress census).  The lane only chooses how each probe reaches
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import time
 from math import exp
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..cache.cache import DnsCache
 from ..cache.entry import CacheEntry, EntryKind
@@ -70,7 +71,7 @@ from ..dns.record import (
     RRSet,
     group_rrsets,
 )
-from ..dns.rrtype import RCode, RRType
+from ..dns.rrtype import RCode, RRClass, RRType
 from ..dns.zone import WILDCARD_LABEL, Zone
 from ..net.latency import ConstantLatency, LogNormalLatency
 from ..net.loss import BernoulliLoss, NoLoss
@@ -90,7 +91,9 @@ from ..server.authoritative import AuthoritativeServer
 from ..server.querylog import LogEntry, QueryLog
 from .internet import HostedPlatform, SimulatedInternet
 from .measurement import MEASURES, PlatformMeasurement, measure_direct
-from .parallel import ShardOutcome, ShardTask
+
+if TYPE_CHECKING:
+    from .parallel import ShardTask
 
 _DEFAULT_TIMEOUT = Network.DEFAULT_TIMEOUT
 _DEFAULT_RETRIES = Network.DEFAULT_RETRIES
@@ -157,10 +160,11 @@ class _ColdChain:
     """Captured referral chain from the root hints down to the CDE server.
 
     The chain is world-level state (root hints, endpoint map, shared
-    zones), so one capture serves every platform plan in a lane with the
-    same root hints; :meth:`valid` revalidates the zone-shape tokens before
-    each cold replay and re-captures when population construction grew a
-    shared zone.
+    zones), and every platform resolves from the world's root hints, so
+    one capture serves every platform plan in a lane.  The first cold
+    replay captures it; :meth:`valid` revalidates the zone-shape tokens
+    before each replay and re-captures when population construction grew
+    a shared zone.
 
     ``AuthoritativeServer.respond`` is pure, so the chain can be probed
     offline with a synthetic corridor name.  The capture label is the
@@ -174,32 +178,32 @@ class _ColdChain:
     capture declines and cold resolutions stay on the real path.
     """
 
-    __slots__ = ("network", "server", "ns_ip", "base_domain", "root_key",
+    __slots__ = ("network", "server", "ns_ip", "base_domain", "root_hints",
                  "zone", "template", "a_key", "levels", "tokens")
 
-    def __init__(self, world: SimulatedInternet,
-                 root_key: tuple[str, ...]) -> None:
+    def __init__(self, world: SimulatedInternet) -> None:
         self.network: Network = world.network
         self.server: AuthoritativeServer = world.cde.server
         self.ns_ip: str = world.cde.ns_ip
         self.base_domain: DnsName = world.cde.base_domain
-        self.root_key = root_key
+        self.root_hints: list[str] = world.hierarchy.root_hints
         self.zone: Optional[Zone] = None
         self.template: Optional[_Template] = None
         self.a_key: Optional[tuple[DnsName, RRType]] = None
         self.levels: Optional[list[_ColdLevel]] = None
-        self.tokens: list[_ColdToken] = []
-        self.capture()
+        #: ``None`` until the first capture; a declined capture leaves it
+        #: empty, and the chain stays declined.
+        self.tokens: Optional[list[_ColdToken]] = None
 
     def capture(self) -> None:
         self.levels = None
         self.tokens = []
-        if len(self.root_key) != 1:
+        if len(self.root_hints) != 1:
             return
         probe = self.base_domain.prepend("z" * 63)
         levels: list[_ColdLevel] = []
         tokens: list[_ColdToken] = []
-        server_ip = self.root_key[0]
+        server_ip = self.root_hints[0]
         zone_name = ROOT
         for _ in range(4):
             endpoint = self.network.endpoint_at(server_ip)
@@ -286,8 +290,11 @@ class _ColdChain:
         zones between platforms; growth shows up as a new zone or RRset
         count and triggers a re-capture.
         """
+        if self.tokens is None:
+            self.capture()              # the first replay captures
         if self.levels is None:
             return False
+        assert self.tokens is not None
         for server, zone, n_zones, n_rrsets in self.tokens:
             if not server.online or len(server.zones()) != n_zones or \
                     len(zone._rrsets) != n_rrsets:
@@ -375,7 +382,7 @@ class _FastPlan:
             self.sel_kind = 4
             self.sel_state = _stable_hash(
                 selector._salt, self.prober_ip) % self.n_caches
-        # Seeded from the lane-shared cold chain by each cold replay.
+        # Seeded from the lane's cold chain by each cold replay.
         self.zone: Optional[Zone] = None
         self.template: Optional[_Template] = None
         self.ns_key: tuple[DnsName, RRType] = (self.base_domain, RRType.NS)
@@ -390,8 +397,7 @@ class _FastPlan:
 
     @classmethod
     def build(cls, world: SimulatedInternet, hosted: HostedPlatform,
-              cold_chains: Optional[dict[tuple[str, ...], _ColdChain]] = None,
-              ) -> Optional["_FastPlan"]:
+              cold: _ColdChain) -> Optional["_FastPlan"]:
         network = world.network
         prober = world.prober
         platform = hosted.platform
@@ -428,17 +434,6 @@ class _FastPlan:
         if probe_src is None or probe_dst is None or server_dst is None or \
                 any(params is None for params in egress_src):
             return None           # unregistered or out-of-gate link model
-        # The chain from the root hints to the CDE is world state, so one
-        # capture is shared by every plan in the lane (keyed by root hints
-        # in case specs ever diverge on them).
-        root_key = tuple(platform.engine.root_hint_ips)
-        cold: Optional[_ColdChain] = None
-        if cold_chains is not None:
-            cold = cold_chains.get(root_key)
-        if cold is None:
-            cold = _ColdChain(world, root_key)
-            if cold_chains is not None:
-                cold_chains[root_key] = cold
         return cls(world, platform, probe_src, probe_dst, server_dst,
                    [params for params in egress_src if params is not None],
                    cold)
@@ -561,6 +556,7 @@ def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
                 # the point the real code would (no mutations happened yet).
                 # Re-serving the resolved chain through the cache is pure.
                 platform._resolve_upstream(cache, qname, qtype)
+                _remember_corridor(plan, cache, cache_index)
         except ResolutionError:
             pstats.failures += 1
         return
@@ -599,6 +595,7 @@ def _fused_resolve_chain(plan: _FastPlan, cache: DnsCache, cache_index: int,
         try:
             if not _fused_upstream(plan, cache, cache_index, current, qtype):
                 platform._resolve_upstream(cache, current, qtype)
+                _remember_corridor(plan, cache, cache_index)
         except ResolutionError:
             pstats.failures += 1
         return
@@ -652,7 +649,7 @@ def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
             a_entry.hits += 1
             a_entry.last_used = now
             cstats.hits += 2
-            _fused_cde_transaction(plan, cache, qname, qtype, template)
+            _fused_answer(plan, cache, qname, qtype, template)
             return True
         return False
     if cache._entries:
@@ -681,117 +678,81 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
     """Replay the captured referral chain into an empty cache.
 
     Every cache lookup on an empty cache is a miss, so the _from_cache and
-    authority-walk gets collapse to one counter bump; the per-hop draws,
-    clock advances, server-log records and referral-RRset puts then replay
-    the real iterative descent exactly (glue answers every hop, so no
-    intermediate cache reads happen).  Finishing warms the corridor memo
-    directly, so the cache's later probes take the warm tier.
+    authority-walk gets collapse to one counter bump; the per-hop
+    exchanges and referral-RRset puts then replay the real iterative
+    descent exactly (glue answers every hop, so no intermediate cache
+    reads happen).  Finishing warms the corridor memo directly, so the
+    cache's later probes take the warm tier.
     """
     cache.stats.misses += plan.cold_walk_misses
-    clock = plan.clock
-    stats = plan.stats
     levels = plan.cold.levels
     assert levels is not None
     for server, zone_name, dst_params, ingest in levels:
-        msg_id = plan.platform_randrange(1 << 16)
-        egress_index = plan.egress_randrange(plan.n_egress)
-        egress_ip = plan.egress_ips[egress_index]
-        src_params = plan.egress_src[egress_index]
-        delivered = False
-        attempts = 0
-        while attempts <= _DEFAULT_RETRIES:
-            attempts += 1
-            if attempts > 1:
-                stats.retransmissions += 1
-            sent_at = clock._now
-            stats.messages_sent += 1
-            lost, latency = _leg(plan, src_params, dst_params)
-            if lost:
-                stats.requests_lost += 1
-                clock._now = sent_at + _DEFAULT_TIMEOUT
-                continue
-            clock._now = sent_at + latency
-            entry = _obj_new(LogEntry)
-            _obj_setattr(entry, "__dict__",
-                         {"timestamp": clock._now, "src_ip": egress_ip,
-                          "qname": qname, "qtype": qtype, "msg_id": msg_id})
-            server.query_log.record(entry)
-            lost, latency = _leg(plan, src_params, dst_params)
-            if lost:
-                stats.responses_lost += 1
-                deadline = sent_at + _DEFAULT_TIMEOUT
-                if deadline > clock._now:
-                    clock._now = deadline
-                continue
-            clock._now += latency
-            stats.messages_delivered += 1
-            delivered = True
-            break
-        if not delivered:
-            stats.timeouts += 1
-            raise ResolutionError(
-                f"no authority for {qname} responded (zone {zone_name})")
-        plan.platform.stats.upstream_queries += 1
-        ingested_at = clock._now
+        ingested_at = _fused_exchange(plan, server.query_log, dst_params,
+                                      qname, qtype, zone_name)
         for rrset in ingest:
-            # put_rrset by __dict__: clamp, re-own the records at the
-            # clamped TTL (with_ttl keeps each record's own name) and
-            # insert the positive entry.  The real path would raise on a
-            # negative TTL, so that (unreachable) case keeps it.
-            clamped = cache.clamp_ttl(rrset.ttl)
-            if clamped >= 0:
-                records = []
-                for record in rrset.records:
-                    owned = _obj_new(ResourceRecord)
-                    _obj_setattr(owned, "__dict__",
-                                 {"name": record.name, "rtype": record.rtype,
-                                  "ttl": clamped, "rdata": record.rdata,
-                                  "rclass": record.rclass})
-                    records.append(owned)
-                clone = _obj_new(RRSet)
-                clone.__dict__ = {"name": rrset.name, "rtype": rrset.rtype,
-                                  "rclass": rrset.rclass, "records": records}
-                centry = _obj_new(CacheEntry)
-                centry.__dict__ = {"name": rrset.name, "rtype": rrset.rtype,
-                                   "kind": _POSITIVE,
-                                   "stored_at": ingested_at,
-                                   "expires_at": ingested_at + clamped,
-                                   "rrset": clone, "soa": None, "hits": 0,
-                                   "last_used": ingested_at}
-                cache._insert(centry, ingested_at)
-            else:
-                cache.put_rrset(rrset, ingested_at)
-    _fused_cde_transaction(plan, cache, qname, qtype, template)
+            # put_rrset; with_ttl keeps each record's own name.
+            _put_positive(cache, rrset.name, rrset.rtype, rrset.rclass,
+                          rrset.records, None, rrset.ttl, ingested_at)
+    _fused_answer(plan, cache, qname, qtype, template)
     # The referral puts above created this cache's corridor entries.
-    ns_entry = cache._entries.get(plan.ns_key)
-    a_key = plan.a_key
-    if ns_entry is not None and a_key is not None:
-        a_entry = cache._entries.get(a_key)
-        if a_entry is not None:
-            plan.corridor[cache_index] = (ns_entry, a_entry)
+    _remember_corridor(plan, cache, cache_index)
     return True
 
 
-def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
-                           qtype: RRType, template: _Template) -> None:
+def _remember_corridor(plan: _FastPlan, cache: DnsCache,
+                       cache_index: int) -> None:
+    """Point the cache's warm memo at its live corridor entries.
+
+    A cold replay's referral puts create them, and a real
+    ``_resolve_upstream`` re-fetches them once they expired or were
+    evicted.  The warm tier revalidates both (identity and expiry) before
+    every use.
+    """
+    a_key = plan.a_key
+    if a_key is None:
+        return
+    centries = cache._entries
+    ns_entry = centries.get(plan.ns_key)
+    a_entry = centries.get(a_key)
+    if ns_entry is not None and a_entry is not None:
+        plan.corridor[cache_index] = (ns_entry, a_entry)
+
+
+def _fused_answer(plan: _FastPlan, cache: DnsCache, qname: DnsName,
+                  qtype: RRType, template: _Template) -> None:
     """One egress transaction to the CDE nameserver plus the answer put.
 
-    Raises :class:`ResolutionError` (like the real path) when every
+    ``_ingest_response`` + ``put_rrset``, collapsed: the wildcard answer
+    re-owned to ``qname`` — exactly the RRSet ``group_rrsets(lookup.records)
+    → put_rrset`` would store.
+    """
+    zone = plan.zone
+    assert zone is not None
+    ingested_at = _fused_exchange(plan, plan.query_log, plan.server_dst,
+                                  qname, qtype, zone.origin)
+    _, wset, _, wrecords, ttl = template
+    _put_positive(cache, qname, wset.rtype, wset.rclass, wrecords, qname,
+                  ttl, ingested_at)
+
+
+def _fused_exchange(plan: _FastPlan, log: QueryLog, dst_params: _LegParams,
+                    qname: DnsName, qtype: RRType, zone_name: DnsName
+                    ) -> float:
+    """One ``_try_servers`` send to a single-candidate server.
+
+    Shuffling the one-candidate list draws nothing; the query-id draw and
+    the per-send egress draw happen in this order, once per send call
+    (retransmissions reuse both).  Returns the time the response arrived;
+    raises :class:`ResolutionError` (like the real path) when every
     attempt is lost.
     """
-    # _try_servers: shuffling the one-candidate list draws nothing; the
-    # query-id draw and the per-send egress draw happen in this order, once
-    # per send call (retransmissions reuse both).
     msg_id = plan.platform_randrange(1 << 16)
     egress_index = plan.egress_randrange(plan.n_egress)
     egress_ip = plan.egress_ips[egress_index]
-
+    src_params = plan.egress_src[egress_index]
     clock = plan.clock
     stats = plan.stats
-    log = plan.query_log
-    src_params = plan.egress_src[egress_index]
-    dst_params = plan.server_dst
-    delivered = False
     attempts = 0
     while attempts <= _DEFAULT_RETRIES:
         attempts += 1
@@ -822,57 +783,42 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
             continue
         clock._now += latency
         stats.messages_delivered += 1
-        delivered = True
-        break
-    if not delivered:
-        stats.timeouts += 1
-        zone = plan.zone
-        assert zone is not None
-        raise ResolutionError(
-            f"no authority for {qname} responded (zone {zone.origin})")
-    plan.platform.stats.upstream_queries += 1
-    # _ingest_response + put_rrset, collapsed: synthesize the wildcard
-    # answer re-owned to qname with the TTL already clamped — exactly the
-    # RRSet ``group_rrsets(lookup.records) → put_rrset`` would store.
-    ingested_at = clock._now
-    _, wset, _, wrecords, ttl0 = template
-    clamped = cache.clamp_ttl(ttl0)
-    if clamped >= 0:
-        # __dict__ construction; the real path would raise on a negative
-        # TTL, so that (unreachable) case keeps it.
-        records = []
-        for record in wrecords:
-            owned = _obj_new(ResourceRecord)
-            _obj_setattr(owned, "__dict__",
-                         {"name": qname, "rtype": record.rtype,
-                          "ttl": clamped, "rdata": record.rdata,
-                          "rclass": record.rclass})
-            records.append(owned)
-        stored = _obj_new(RRSet)
-        stored.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "rclass": wset.rclass, "records": records}
-        centry = _obj_new(CacheEntry)
-        centry.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "kind": _POSITIVE, "stored_at": ingested_at,
-                           "expires_at": ingested_at + clamped,
-                           "rrset": stored, "soa": None, "hits": 0,
-                           "last_used": ingested_at}
-        cache._insert(centry, ingested_at)
-        return
-    stored = RRSet(qname, wset.rtype, wset.rclass)
-    stored.records = [
-        ResourceRecord(qname, record.rtype, clamped, record.rdata,
-                       record.rclass)
-        for record in wrecords
-    ]
-    cache._insert(CacheEntry(
-        name=qname,
-        rtype=wset.rtype,
-        kind=EntryKind.POSITIVE,
-        stored_at=ingested_at,
-        expires_at=ingested_at + clamped,
-        rrset=stored,
-    ), ingested_at)
+        plan.platform.stats.upstream_queries += 1
+        return clock._now
+    stats.timeouts += 1
+    raise ResolutionError(
+        f"no authority for {qname} responded (zone {zone_name})")
+
+
+def _put_positive(cache: DnsCache, name: DnsName, rtype: RRType,
+                  rclass: RRClass, records: Sequence[ResourceRecord],
+                  owner: Optional[DnsName], ttl: int, now: float) -> None:
+    """``put_rrset`` by ``__dict__``: clamp the TTL, re-own the records at
+    the clamped TTL and insert the positive entry.
+
+    ``owner`` renames every record (``None`` keeps each record's own
+    name).  The TTL window that ``DnsCache`` and ``PlatformConfig`` both
+    enforce keeps the clamped TTL non-negative, so the real put's
+    negative-TTL error cannot arise here.
+    """
+    clamped = cache.clamp_ttl(ttl)
+    owned = []
+    for record in records:
+        copy = _obj_new(ResourceRecord)
+        _obj_setattr(copy, "__dict__",
+                     {"name": record.name if owner is None else owner,
+                      "rtype": record.rtype, "ttl": clamped,
+                      "rdata": record.rdata, "rclass": record.rclass})
+        owned.append(copy)
+    rrset = _obj_new(RRSet)
+    rrset.__dict__ = {"name": name, "rtype": rtype, "rclass": rclass,
+                      "records": owned}
+    entry = _obj_new(CacheEntry)
+    entry.__dict__ = {"name": name, "rtype": rtype, "kind": _POSITIVE,
+                      "stored_at": now, "expires_at": now + clamped,
+                      "rrset": rrset, "soa": None, "hits": 0,
+                      "last_used": now}
+    cache._insert(entry, now)
 
 
 class ShardLane:
@@ -897,9 +843,9 @@ class ShardLane:
         self.platforms_done = 0
         self._indirect_queries = 0
         self.world = SimulatedInternet(task.config)
-        #: Root-hints → captured referral chain, shared across the lane's
-        #: platform plans (the chain is world state, not platform state).
-        self.cold_chains: dict[tuple[str, ...], _ColdChain] = {}
+        #: The captured referral chain, shared by the lane's platform plans
+        #: (the chain is world state, not platform state).
+        self.cold_chain = _ColdChain(self.world)
         self._stats_before = snapshot_stats(self.world.network.stats)
         self.busy_seconds = time.perf_counter() - started
 
@@ -910,7 +856,7 @@ class ShardLane:
         The fused corridor when the platform's :class:`_FastPlan` builds,
         else the structured ``DirectProber.probe`` path.
         """
-        plan = _FastPlan.build(self.world, hosted, self.cold_chains)
+        plan = _FastPlan.build(self.world, hosted, self.cold_chain)
         if plan is None:
             prober = self.world.prober
             ingress_ip = hosted.platform.ingress_ips[0]
@@ -946,22 +892,11 @@ class ShardLane:
         self.busy_seconds += time.perf_counter() - started
         return row
 
-    def run_to_completion(self) -> ShardOutcome:
-        rows = []
-        while (row := self.step()) is not None:
-            rows.append(row)
-        return self.outcome(rows)
-
-    def outcome(self, rows: Optional[list[PlatformMeasurement]] = None
-                ) -> ShardOutcome:
-        """The lane's perf sample, carrying ``rows`` if the caller kept them.
-
-        A streaming driver hands each row on as :meth:`step` returns it,
-        so its outcome carries none.
-        """
+    def perf(self) -> ShardPerf:
+        """The finished lane's performance sample."""
         if self.platforms_done < len(self.task.specs):
             raise RuntimeError("lane still has work pending")
-        perf = ShardPerf(
+        return ShardPerf(
             shard_index=self.task.shard_index,
             platforms=self.platforms_done,
             wall_seconds=self.busy_seconds,
@@ -973,6 +908,3 @@ class ShardLane:
             fused_probes=self.fused_probes,
             fallback_probes=self.fallback_probes,
         )
-        return ShardOutcome(shard_index=self.task.shard_index,
-                            positions=self.task.positions,
-                            rows=rows if rows is not None else [], perf=perf)

@@ -14,11 +14,13 @@ in DESIGN.md §6:
    derived as ``derive_seed(base_seed, "shard/<index>")`` via
    :mod:`repro.net.rng` — the toolkit's one seed-derivation scheme.
 3. **Run** — each shard is a :class:`~repro.study.engine.ShardLane` whose
-   ``step`` measures one platform: in-process, or on a
-   :class:`concurrent.futures.ProcessPoolExecutor` when
+   ``step`` measures one platform.  In-process, the stream steps
+   whichever lane owns the next spec position; on a
+   :class:`concurrent.futures.ProcessPoolExecutor` — when
    :func:`resolve_workers` decides a pool actually pays for itself
-   (``workers="auto"`` sizes the pool from ``os.cpu_count()``; the handoff
-   ships compact pre-serialized spec tuples, never live worlds).
+   (``workers="auto"`` sizes the pool from ``os.cpu_count()``) — each
+   worker runs :func:`run_shard` on a :class:`ShardTask` pickled as it
+   is: flat dataclasses of primitives, never live worlds.
 4. **Merge** — per-platform rows return to the *original spec order*
    through one reassembler, :func:`_in_stripe_order`, whether the rows
    come from in-process lane steps or from pool spill files, so results
@@ -38,12 +40,14 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterator, Optional, Union
 
-from ..net.perf import PerfCounters
+from ..net.perf import PerfCounters, ShardPerf
 from ..net.rng import derive_seed
+from .engine import ShardLane
 from .internet import WorldConfig
 from .measurement import MeasurementBudget, PlatformMeasurement
 from .population import PlatformSpec
@@ -73,21 +77,10 @@ class ShardTask:
     """Everything one worker needs to measure its shard (picklable)."""
 
     shard_index: int
-    seed: int
     positions: tuple[int, ...]          # indices into the original spec list
     specs: tuple[PlatformSpec, ...]
-    config: WorldConfig                 # template; ``seed`` already applied
+    config: WorldConfig                 # the shard's world, its seed applied
     budget: MeasurementBudget
-
-
-@dataclass
-class ShardOutcome:
-    """One shard's measured rows plus its performance sample."""
-
-    shard_index: int
-    positions: tuple[int, ...]
-    rows: list[PlatformMeasurement]
-    perf: ShardPerf
 
 
 def plan_shards(specs: list[PlatformSpec], base_seed: int = 0,
@@ -114,7 +107,6 @@ def plan_shards(specs: list[PlatformSpec], base_seed: int = 0,
             continue
         tasks.append(ShardTask(
             shard_index=index,
-            seed=shard_seed(base_seed, index),
             positions=tuple(bucket),
             specs=tuple(specs[position] for position in bucket),
             config=replace(config, seed=shard_seed(base_seed, index)),
@@ -123,60 +115,28 @@ def plan_shards(specs: list[PlatformSpec], base_seed: int = 0,
     return tasks
 
 
-def run_shard(task: ShardTask) -> ShardOutcome:
-    """Measure one shard in a fresh world (module-level: picklable)."""
-    from .engine import ShardLane     # lazy: the engine imports this module
+def run_shard(task: ShardTask,
+              emit: Callable[[PlatformMeasurement], object]) -> ShardPerf:
+    """Measure one shard in a fresh world, handing each row to ``emit``.
 
-    return ShardLane(task).run_to_completion()
-
-
-def _encode_task(task: ShardTask) -> bytes:
-    """The compact pool handoff: one pickle of primitive tuples.
-
-    Specs, config and budget are flat dataclasses of primitives; shipping
-    their field tuples instead of the dataclass instances keeps the
-    payload a fraction of the naive pickle (no per-object class references
-    to resolve) and guarantees nothing heavier — a world, a network — can
-    ride along by accident.
+    The one loop that drives a lane to completion: a pool worker's
+    ``emit`` pickles each row to the shard's spill file (:func:`_spill`),
+    so the worker never holds more than one row; ``rows.append`` collects
+    them.
     """
-    return pickle.dumps(
-        (task.shard_index, task.seed, task.positions,
-         tuple(astuple(spec) for spec in task.specs),
-         astuple(task.config), astuple(task.budget)),
-        protocol=pickle.HIGHEST_PROTOCOL)
+    lane = ShardLane(task)
+    while (row := lane.step()) is not None:
+        emit(row)
+    return lane.perf()
 
 
-def _decode_task(payload: bytes) -> ShardTask:
-    """Rebuild the :class:`ShardTask` from its compact pool handoff."""
-    shard_index, seed, positions, spec_rows, config_row, budget_row = (
-        pickle.loads(payload))
-    return ShardTask(
-        shard_index=shard_index,
-        seed=seed,
-        positions=tuple(positions),
-        specs=tuple(PlatformSpec(*row) for row in spec_rows),
-        config=WorldConfig(*config_row),
-        budget=MeasurementBudget(*budget_row),
-    )
-
-
-def _run_shard_spill(handoff: tuple[bytes, str]) -> ShardOutcome:
-    """Pool entry point for streaming: rows spill to disk as they finish.
-
-    The worker never holds more than one row: each row is pickled to the
-    shard's spill file as its step returns it, and the returned
-    :class:`ShardOutcome` carries only the perf sample (``rows`` empty).
-    The parent re-reads the spill files one row at a time in stripe order,
-    so parent *and* worker memory stay bounded regardless of census size.
-    """
-    from .engine import ShardLane     # lazy: the engine imports this module
-
-    payload, spill_path = handoff
-    lane = ShardLane(_decode_task(payload))
-    with open(spill_path, "wb") as sink:
-        while (row := lane.step()) is not None:
-            pickle.dump(row, sink, protocol=pickle.HIGHEST_PROTOCOL)
-    return lane.outcome()
+def _spill(task: ShardTask, path: str) -> ShardPerf:
+    """Pool entry point: :func:`run_shard` with every row spilled to
+    ``path``, which the parent re-reads one row at a time in stripe
+    order."""
+    with open(path, "wb") as sink:
+        return run_shard(task, partial(pickle.dump, file=sink,
+                                       protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def resolve_workers(workers: WorkerSpec, n_tasks: int, n_platforms: int,
@@ -223,8 +183,6 @@ class StreamingMeasurement:
     """
 
     n_shards: int
-    base_seed: int
-    total: int
     perf: Optional[PerfCounters] = None
     _iterator: Optional[Iterator[PlatformMeasurement]] = None
 
@@ -296,7 +254,7 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
     * in-process, each row is measured when it is due: the lane that owns
       the next spec position takes one step, so no lane runs ahead;
     * on a pool, workers spill finished rows to per-shard files
-      (:func:`_run_shard_spill`) and the parent re-reads them one row at a
+      (:func:`run_shard` through :func:`_spill`) and the parent re-reads them one row at a
       time in stripe order (from a directory under the system temp dir).
 
     Both branches reassemble through :func:`_in_stripe_order`.
@@ -305,19 +263,16 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
                         config=config, budget=budget)
     pool_size = resolve_workers(workers, len(tasks), len(specs),
                                 force_pool=force_pool)
-    result = StreamingMeasurement(n_shards=len(tasks), base_seed=base_seed,
-                                  total=len(specs))
+    result = StreamingMeasurement(n_shards=len(tasks))
 
     def _stream() -> Iterator[PlatformMeasurement]:
         started = time.perf_counter()
         perf = PerfCounters(workers=pool_size)
         if pool_size == 0 or len(tasks) <= 1:
-            from .engine import ShardLane     # lazy: the engine imports us
-
             lanes = [ShardLane(task) for task in tasks]
             yield from _in_stripe_order(
                 tasks, lambda index: lanes[index].step())
-            outcomes = [lane.outcome() for lane in lanes]
+            samples = [lane.perf() for lane in lanes]
         else:
             # Only the pool branch pays for concurrent.futures and
             # multiprocessing; an in-process census never loads them.
@@ -325,22 +280,18 @@ def stream_parallel_measurement(specs: list[PlatformSpec],
 
             spill = tempfile.TemporaryDirectory(prefix="census-spill-")
             try:
-                handoffs = [
-                    (_encode_task(task),
-                     os.path.join(spill.name,
-                                  f"shard-{task.shard_index:05d}.rows"))
-                    for task in tasks]
+                paths = [os.path.join(spill.name,
+                                      f"shard-{task.shard_index:05d}.rows")
+                         for task in tasks]
                 with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                    outcomes = list(pool.map(_run_shard_spill, handoffs))
-                yield from _merge_spilled(tasks,
-                                          [path for _, path in handoffs])
+                    samples = list(pool.map(_spill, tasks, paths))
+                yield from _merge_spilled(tasks, paths)
             finally:
                 spill.cleanup()
-        for outcome in sorted(outcomes, key=lambda o: o.shard_index):
-            perf.add_shard(outcome.perf)
+        for sample in sorted(samples, key=lambda each: each.shard_index):
+            perf.add_shard(sample)
         perf.wall_seconds = time.perf_counter() - started
         result.perf = perf
 
     result._iterator = _stream()
     return result
-

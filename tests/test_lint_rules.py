@@ -325,7 +325,6 @@ def test_pyproject_config_roundtrip(tmp_path):
     # Untouched knobs keep their defaults.
     assert config.shard_entries == (
         "repro/study/parallel.py::run_shard",
-        "repro/study/engine.py::ShardLane.run_to_completion",
         "repro/study/parallel.py::stream_parallel_measurement._stream",
         "repro/study/measurement.py::measure_population",
         "repro/study/measurement.py::measure_direct",
@@ -364,6 +363,16 @@ def test_entry_specs_resolve_on_src(src_graph, source):
     assert specs
     stale = [spec for spec in specs if not src_graph.resolve_entry(spec)]
     assert stale == []
+
+
+def test_pyproject_entry_lists_match_the_defaults():
+    # The repo's pyproject restates the default entry lists; a driver added
+    # or deleted in one list only would leave the two configs checking
+    # different code.
+    defaults = LintConfig()
+    pyproject = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
+    assert pyproject.shard_entries == defaults.shard_entries
+    assert pyproject.effect_roots == defaults.effect_roots
 
 
 @pytest.mark.parametrize("source", ["defaults", "pyproject"])

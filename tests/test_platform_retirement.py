@@ -26,8 +26,9 @@ from repro.study import (
     WorldConfig,
     generate_population,
     plan_shards,
+    run_shard,
 )
-from repro.study.engine import _FastPlan
+from repro.study.engine import _ColdChain, _FastPlan
 
 FAST_BUDGET = MeasurementBudget(confidence=0.9, max_enumeration_queries=96,
                                 egress_probe_factor=2.0, min_egress_probes=8,
@@ -43,6 +44,12 @@ def _task(population: str, count: int = 4):
     specs = generate_population(population, count, seed=SEED, **CAPS)
     return plan_shards(specs, base_seed=SEED, n_shards=1,
                        budget=FAST_BUDGET)[0]
+
+
+def _run(lane):
+    """Drive ``lane`` to completion: its rows and its perf sample."""
+    rows = list(iter(lane.step, None))
+    return rows, lane.perf()
 
 
 def _arrivals(world):
@@ -70,8 +77,8 @@ class TestLaneRetiresEveryPlatform:
         lane = ShardLane(task)
         world = lane.world
         endpoints = set(world.network._endpoints)
-        outcome = lane.run_to_completion()
-        assert len(outcome.rows) == len(task.specs)
+        rows, _ = _run(lane)
+        assert len(rows) == len(task.specs)
 
         assert world.platforms == []
         assert set(world.network._endpoints) == endpoints
@@ -86,8 +93,8 @@ class TestLaneRetiresEveryPlatform:
         monkeypatch.setattr(SimulatedInternet, "retire_platform",
                             lambda self, hosted: None)
         kept = ShardLane(task)
-        kept_outcome = kept.run_to_completion()
-        assert kept_outcome.rows == outcome.rows
+        kept_rows, _ = _run(kept)
+        assert kept_rows == rows
         assert len(kept.world.platforms) == len(task.specs)
         assert [len(log) for log in kept.world.query_logs()] \
             == _arrivals(world)
@@ -109,10 +116,11 @@ class TestLaneRetiresEveryPlatform:
 
         monkeypatch.setattr(SimulatedInternet, "retire_platform",
                             check_and_retire)
-        lane = ShardLane(task)
-        outcome = lane.run_to_completion()
-        assert outcome.perf.fused_probes > 0
-        assert outcome.perf.fallback_probes == 0
+        rows = []
+        perf = run_shard(task, rows.append)
+        assert len(rows) == 3
+        assert perf.fused_probes > 0
+        assert perf.fallback_probes == 0
         assert len(seen) == 3
         # Every platform's probes reached the CDE, root and TLD logs, and
         # every entry there sits under the base domain.
@@ -159,7 +167,7 @@ class TestFusedPlanEligibility:
         world = SimulatedInternet(WorldConfig(seed=SEED))
         spec = generate_population("open-resolvers", 1, seed=SEED, **CAPS)[0]
         hosted = world.add_platform_from_spec(spec)
-        assert _FastPlan.build(world, hosted) is not None
+        assert _FastPlan.build(world, hosted, _ColdChain(world)) is not None
 
     def test_default_world_upstreams_stay_on_the_fast_tiers(
             self, monkeypatch):
@@ -174,13 +182,11 @@ class TestFusedPlanEligibility:
 
         monkeypatch.setattr(ResolutionPlatform, "_resolve_upstream", counted)
         lane = ShardLane(_task("open-resolvers", count=3))
-        outcome = lane.run_to_completion()
-        assert outcome.perf.fused_probes > 0
-        assert outcome.perf.fallback_probes == 0
+        _, perf = _run(lane)
+        assert perf.fused_probes > 0
+        assert perf.fallback_probes == 0
         assert calls == []
-        assert lane.cold_chains
-        assert all(chain.levels is not None
-                   for chain in lane.cold_chains.values())
+        assert lane.cold_chain.levels is not None
 
     @pytest.mark.parametrize("profile", [
         lambda: LinkProfile(UniformLatency(), NoLoss()),
@@ -207,12 +213,12 @@ class TestFusedPlanEligibility:
                     patch.setattr(_FastPlan, "build", staticmethod(
                         lambda *args, **kwargs: None))
                 lane = ShardLane(task)
-                outcome = lane.run_to_completion()
-            return outcome, lane.world.network.stats
+                rows, perf = _run(lane)
+            return rows, perf, lane.world.network.stats
 
-        outcome, stats = run(fused=True)
-        structured, structured_stats = run(fused=False)
-        assert outcome.perf.fused_probes > 0
-        assert outcome.perf.fallback_probes == outcome.rows[1].queries_used
-        assert outcome.rows == structured.rows
+        rows, perf, stats = run(fused=True)
+        structured_rows, _, structured_stats = run(fused=False)
+        assert perf.fused_probes > 0
+        assert perf.fallback_probes == rows[1].queries_used
+        assert rows == structured_rows
         assert stats == structured_stats

@@ -32,6 +32,24 @@ class TestConfigValidation:
             PlatformConfig(name="x", ingress_ips=["1.1.1.1"],
                            egress_ips=["1.1.1.2"], n_caches=0)
 
+    @pytest.mark.parametrize("min_ttl, max_ttl", [
+        (-10, -5), (-1, None), (None, -1), (60, 30)])
+    def test_rejects_a_ttl_window_the_caches_would_reject(
+            self, min_ttl, max_ttl):
+        # DnsCache's window is 0 <= min_ttl <= max_ttl; a platform outside
+        # it would build caches whose first negative clamp raises mid-probe.
+        with pytest.raises(ValueError, match="min_ttl"):
+            PlatformConfig(name="x", ingress_ips=["1.1.1.1"],
+                           egress_ips=["1.1.1.2"], n_caches=1,
+                           min_ttl=min_ttl, max_ttl=max_ttl)
+
+    @pytest.mark.parametrize("min_ttl, max_ttl", [
+        (None, None), (0, 0), (60, 60), (60, None), (None, 0)])
+    def test_accepts_the_cache_window(self, min_ttl, max_ttl):
+        PlatformConfig(name="x", ingress_ips=["1.1.1.1"],
+                       egress_ips=["1.1.1.2"], n_caches=1,
+                       min_ttl=min_ttl, max_ttl=max_ttl)
+
 
 class TestResolution:
     def test_resolves_wildcard_name(self, world, platform):

@@ -23,6 +23,7 @@ from repro.dns.record import ResourceRecord, RRSet
 from repro.net.latency import ConstantLatency, LogNormalLatency
 from repro.net.loss import BernoulliLoss, NoLoss
 from repro.net.network import LinkProfile
+from repro.resolver.platform import ResolutionPlatform
 from repro.resolver.selection import QueryContext
 from repro.server import hierarchy
 from repro.server.authoritative import AuthoritativeServer
@@ -46,7 +47,6 @@ from repro.study import (
     stream_parallel_measurement,
 )
 from repro.study import engine
-from repro.study.parallel import _decode_task, _encode_task
 from repro.net.rng import derive_seed
 
 FAST_BUDGET = MeasurementBudget(confidence=0.9, max_enumeration_queries=96,
@@ -100,7 +100,8 @@ class TestDeterminismAcrossWorkers:
         # The partition is seed-independent; the per-shard worlds are not.
         assert [t.positions for t in other] == \
             [t.positions for t in baseline]
-        assert all(a.seed != b.seed for a, b in zip(baseline, other))
+        assert all(a.config.seed != b.config.seed
+                   for a, b in zip(baseline, other))
         # Measurement under the new seed still returns rows in spec order
         # (the tight caps here make the measured values themselves exact,
         # hence seed-independent — determinism of the *draws* is covered by
@@ -202,36 +203,14 @@ class TestWorkerResolution:
             resolve_workers("many", n_tasks=1, n_platforms=1)
 
 
-class TestCompactHandoff:
-    """The pool payload: pre-serialized primitive tuples, nothing heavier."""
-
-    def test_payload_round_trips_to_identical_rows(self):
-        # A shard's rows depend on nothing but its task, so a task that
-        # survives the handoff unchanged measures to identical rows.
-        specs = _specs("open-resolvers")
-        tasks = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS,
-                            budget=FAST_BUDGET)
-        for task in tasks:
-            assert _decode_task(_encode_task(task)) == task
-
-    def test_payload_is_compact(self):
-        import pickle
-
-        specs = _specs("open-resolvers")
-        task = plan_shards(specs, base_seed=SEED, n_shards=1,
-                           budget=FAST_BUDGET)[0]
-        naive = len(pickle.dumps(task))
-        compact = len(_encode_task(task))
-        assert compact < naive
-
-
 class TestShardPlan:
     def test_plan_is_deterministic(self):
         specs = _specs("open-resolvers")
         first = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS)
         second = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS)
-        assert [(t.shard_index, t.seed, t.positions) for t in first] == \
-            [(t.shard_index, t.seed, t.positions) for t in second]
+        assert [(t.shard_index, t.config.seed, t.positions)
+                for t in first] == \
+            [(t.shard_index, t.config.seed, t.positions) for t in second]
 
     def test_striped_assignment_covers_every_spec_once(self):
         specs = _specs("open-resolvers")
@@ -273,10 +252,13 @@ class TestShardPlan:
         specs = _specs("open-resolvers")
         task = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS,
                            budget=FAST_BUDGET)[0]
-        outcome = run_shard(task)
+        emitted = []
+        perf = run_shard(task, emitted.append)
         world = SimulatedInternet(task.config)
         rows = measure_population(world, list(task.specs), task.budget)
-        assert _row_key(outcome.rows) == _row_key(rows)
+        assert _row_key(emitted) == _row_key(rows)
+        assert perf.shard_index == task.shard_index
+        assert perf.platforms == len(task.specs)
 
 
 class TestPerfCounters:
@@ -528,3 +510,29 @@ class TestFusedCorridorEquivalence:
             assert isinstance(instance, _LAYOUT_CLASSES)
             assert list(vars(instance)) == [
                 field.name for field in fields(type(instance))], instance
+
+
+class TestWarmMemoAfterRealUpstream:
+    """A real upstream re-fetch re-arms the cache's warm corridor memo.
+
+    In the TTL-expiry shape the corridor entries expire inside a probe
+    train, so the warm tier declines and the real ``_resolve_upstream``
+    re-fetches them.  Its next probes must take the warm tier again, not
+    the real path until the next cold replay.
+    """
+
+    @pytest.mark.parametrize("selector, real_upstreams", [
+        ("round-robin", 10), ("uniform-random", 9)])
+    def test_real_upstreams_in_the_ttl_expiry_shape(
+            self, selector, real_upstreams, monkeypatch):
+        calls = []
+        resolve_upstream = ResolutionPlatform._resolve_upstream
+
+        def counted(platform, cache, qname, qtype):
+            calls.append(qname)
+            return resolve_upstream(platform, cache, qname, qtype)
+
+        monkeypatch.setattr(ResolutionPlatform, "_resolve_upstream", counted)
+        _, _, lane, _ = _corridor_run(_TTL_EXPIRY, selector, fused=True)
+        assert lane.fallback_probes == 0
+        assert len(calls) == real_upstreams
