@@ -7,8 +7,8 @@ that surface for the simulated testbed.  Subcommands:
 * ``enumerate`` — cache enumeration against a platform you describe.
 * ``table1``    — regenerate Table I from a fresh SMTP collection.
 * ``figures``   — regenerate the Figure 3/4/6 series for small populations.
-* ``census``    — population census; ``--stream`` runs the bounded-memory
-  pipeline with chunked NDJSON export and ``--resume`` checkpoints.
+* ``census``    — population census through the bounded-memory pipeline,
+  with chunked NDJSON export and ``--resume`` checkpoints.
 * ``analysis``  — print the §V-B coupon-collector planning table.
 """
 
@@ -318,7 +318,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    """Population census: in-memory or streaming bounded-memory pipeline."""
+    """Population census through the streaming bounded-memory pipeline."""
     from .net.faults import FAULT_PROFILES
     from .study import WorldConfig, format_table
     from .study.census import MemoryBudgetExceeded, run_census
@@ -348,7 +348,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
             workers=args.workers,
             n_shards=args.shards,
             config=config,
-            stream=args.stream,
+            stream=True,
             simulate=args.simulate,
             out_dir=args.out,
             chunk_size=args.chunk_size,
@@ -360,8 +360,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     aggregates = result.aggregates
-    mode = ("simulated" if args.simulate
-            else "streaming" if args.stream else "in-memory")
+    mode = "simulated" if args.simulate else "streaming"
     print(f"census: {aggregates.rows} platforms ({mode} pipeline)")
     print(format_table(
         ["group", "n", "exact", "MAE", "bias"],
@@ -455,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (0 = in-process engine)")
     census.add_argument("--shards", type=int, default=None,
                         help="shard count (default: engine default)")
-    census.add_argument("--stream", action="store_true",
-                        help="bounded-memory pipeline: rows stream through "
-                             "online aggregation and chunked NDJSON export")
     census.add_argument("--simulate", action="store_true",
                         help="synthetic deterministic rows, no worlds "
                              "(scale/pipeline testing)")

@@ -34,8 +34,9 @@ the same summaries, so every finding carries a source→sink witness
 chain.  Run ``python -m repro.lint src/`` (``--format
 json|sarif`` for machine-readable reports, ``--fix`` for mechanical
 autofixes); suppress a deliberate exception with
-``# cdelint: disable=CDE00x`` on the flagged line.  Configuration lives
-in ``[tool.cdelint]`` in pyproject.toml; rationale in
+``# cdelint: disable=CDE00x`` on the flagged line.  Configuration is the
+:class:`LintConfig` defaults (a ``[tool.cdelint]`` table in pyproject.toml
+may override them); rationale in
 docs/STATIC_ANALYSIS.md, layering in docs/ARCHITECTURE.md.
 """
 

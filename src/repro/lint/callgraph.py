@@ -1,9 +1,10 @@
 """Project-wide call graph over per-file summaries.
 
 A :class:`ModuleSummary` is everything the whole-program rules need to
-know about one file — its functions (with called names, direct effect
-sites, RNG stream labels), its imports, its suppression comments — in a
-JSON-serialisable form.  Summaries are derived from a parsed
+know about one file — its functions (with called and referenced names,
+direct effect sites, RNG stream labels), its function tables, imports
+and suppression comments — in a JSON-serialisable form.  Summaries are
+derived from a parsed
 :class:`~repro.lint.module.ModuleInfo` once and then cached by content
 hash (:mod:`repro.lint.cache`), so a warm run never re-parses unchanged
 files: the call graph, the effect propagation (CDE004/CDE007), the
@@ -13,7 +14,11 @@ summaries alone.
 The graph uses the same conservative name-based binding CDE004
 established: a call to a simple name binds to every project function of
 that name, and a call to a class name binds to that class's
-``__init__``.  Over-approximation is the right direction for invariant
+``__init__``.  A function used as a value binds the same way: a name
+passed as a call argument, returned or placed in a display, and a read
+of a module-level function table (``MEASURES``, local or imported),
+which binds every name the table lists — so a callback is audited from
+whatever hands it on.  Over-approximation is the right direction for invariant
 checking — a false edge widens the audited surface, never hides an
 effect.
 """
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .astutil import dotted_name, iter_function_defs, resolve_call_target
 from .dataflow import FlowEdge, HandlerSummary, analyze_function
@@ -50,7 +55,9 @@ from .taint import MUTABLE_CONSTRUCTORS, matches_any
 #: checked.
 #: Version 9 dropped the taint sites, which no rule read.
 #: Version 10 dropped the cdesync layer; a runtime differential pins it.
-SUMMARY_VERSION = 10
+#: Version 11 added value references: per-function referenced names and
+#: per-module function tables.
+SUMMARY_VERSION = 11
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -112,6 +119,7 @@ class FunctionSummary:
     global_reads: tuple[str, ...] = ()         # module mutable globals read
     global_mutations: tuple[str, ...] = ()     # ... and mutated
     params: tuple[str, ...] = ()               # parameter names ("*" marker)
+    refs: tuple[str, ...] = ()                 # names used as values (v11)
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -126,6 +134,7 @@ class FunctionSummary:
             "global_reads": list(self.global_reads),
             "global_mutations": list(self.global_mutations),
             "params": list(self.params),
+            "refs": list(self.refs),
         }
 
     @classmethod
@@ -149,6 +158,7 @@ class FunctionSummary:
             global_mutations=tuple(
                 str(n) for n in raw["global_mutations"]),  # type: ignore[union-attr]
             params=tuple(str(p) for p in raw["params"]),  # type: ignore[union-attr]
+            refs=tuple(str(r) for r in raw["refs"]),  # type: ignore[union-attr]
         )
 
 
@@ -164,6 +174,8 @@ class ModuleSummary:
     file_suppressions: tuple[str, ...] = ()
     #: module-level names bound to mutable containers (name -> def line)
     mutable_globals: dict[str, int] = field(default_factory=dict)
+    #: module-level function tables (name -> names the display lists)
+    tables: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         from .module import SUPPRESS_ALL
@@ -189,6 +201,8 @@ class ModuleSummary:
                 name: line
                 for name, line in sorted(self.mutable_globals.items())
             },
+            "tables": {name: list(listed)
+                       for name, listed in sorted(self.tables.items())},
         }
 
     @classmethod
@@ -211,6 +225,8 @@ class ModuleSummary:
                 str(name): int(line)  # type: ignore[call-overload]
                 for name, line in raw["mutable_globals"].items()  # type: ignore[union-attr]
             },
+            tables={str(name): tuple(refs)
+                    for name, refs in raw["tables"].items()},  # type: ignore[union-attr]
         )
 
 
@@ -218,18 +234,77 @@ class ModuleSummary:
 # summarisation
 # ---------------------------------------------------------------------------
 
-def _called_names(func: ast.AST) -> tuple[str, ...]:
-    """Simple binding keys of every call site in ``func``'s own body."""
+def _value_names(values: Iterable[Optional[ast.expr]]) -> Iterator[str]:
+    """Simple names of the bare ``name`` / ``obj.name`` values among
+    ``values`` (``*name`` unpacked too); anything else names nothing."""
+    for value in values:
+        if isinstance(value, ast.Starred):
+            value = value.value
+        if isinstance(value, ast.Name):
+            yield value.id
+        elif isinstance(value, ast.Attribute):
+            yield value.attr
+
+
+def _display_values(node: ast.AST) -> list[Optional[ast.expr]]:
+    """The elements of a list/tuple/set/dict display, else nothing."""
+    if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+        return list(node.elts)
+    if isinstance(node, ast.Dict):
+        return [*node.keys, *node.values]
+    return []
+
+
+def _called_and_referenced(func: ast.AST, readable: frozenset[str]
+                            ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Binding keys of ``func``'s own body: the simple names it calls,
+    and the names it uses as values — call arguments, return values and
+    display elements, plus loads of ``readable`` names (the file's
+    function tables and its ``from``-imported names, any of which may be
+    a table defined elsewhere)."""
     from .effects import _walk_own
 
-    names: set[str] = set()
+    calls: set[str] = set()
+    refs: set[str] = set()
     for node in _walk_own(func):
         if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                names.add(node.func.id)
-            elif isinstance(node.func, ast.Attribute):
-                names.add(node.func.attr)
-    return tuple(sorted(names))
+            calls.update(_value_names([node.func]))
+            refs.update(_value_names(
+                [*node.args, *(kw.value for kw in node.keywords)]))
+        elif isinstance(node, ast.Return):
+            refs.update(_value_names([node.value]))
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id in readable):
+            refs.add(node.id)
+        else:
+            refs.update(_value_names(_display_values(node)))
+    return tuple(sorted(calls)), tuple(sorted(refs))
+
+
+def _module_assignments(tree: ast.Module
+                        ) -> Iterator[tuple[list[str], ast.expr, int]]:
+    """``(names, value, line)`` of each module-level ``name = value``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            yield ([t.id for t in stmt.targets if isinstance(t, ast.Name)],
+                   stmt.value, stmt.lineno)
+        elif (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+              and isinstance(stmt.target, ast.Name)):
+            yield [stmt.target.id], stmt.value, stmt.lineno
+
+
+def _function_tables(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """Module-level names bound to displays that list names, with the
+    names listed (nested displays included): the candidate function
+    tables a read binds through."""
+    tables: dict[str, tuple[str, ...]] = {}
+    for targets, value, _line in _module_assignments(tree):
+        if not _display_values(value):
+            continue
+        listed = tuple(sorted({name for node in ast.walk(value) for name
+                               in _value_names(_display_values(node))}))
+        tables.update((target, listed) for target in targets if listed)
+    return tables
 
 
 def _literal_label(arg: ast.expr) -> Optional[str]:
@@ -320,16 +395,7 @@ def _mutable_global_defs(tree: ast.Module,
     literals, comprehensions, or mutable-constructor calls).  Dunders
     (``__all__``) are skipped; class attributes are out of scope."""
     defs: dict[str, int] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target] if isinstance(
-                stmt.target, ast.Name) else []
-            value = stmt.value
-        else:
-            continue
+    for targets, value, line in _module_assignments(tree):
         mutable = isinstance(value, (ast.Dict, ast.List, ast.Set,
                                      ast.ListComp, ast.SetComp, ast.DictComp))
         if not mutable and isinstance(value, ast.Call):
@@ -339,8 +405,8 @@ def _mutable_global_defs(tree: ast.Module,
         if not mutable:
             continue
         for target in targets:
-            if not target.id.startswith("__"):
-                defs.setdefault(target.id, stmt.lineno)
+            if not target.startswith("__"):
+                defs.setdefault(target, line)
     return defs
 
 
@@ -351,15 +417,20 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
     aliases = module.aliases
     mutable_globals = _mutable_global_defs(module.tree, aliases)
     global_names = frozenset(mutable_globals)
+    tables = _function_tables(module.tree)
+    # ``from m import n`` binds ``n`` to the dotted origin "m.n"
+    readable = frozenset(tables) | {
+        local for local, origin in aliases.items() if "." in origin}
     functions: list[FunctionSummary] = []
     for func, qualname, _is_method in iter_function_defs(module.tree):
         flow = analyze_function(func, aliases)
+        calls, refs = _called_and_referenced(func, readable)
         functions.append(FunctionSummary(
             qualname=qualname,
             name=func.name,
             line=func.lineno,
             col=func.col_offset,
-            calls=_called_names(func),
+            calls=calls,
             effects=extract_effect_sites(func, aliases),
             streams=_stream_calls(func),
             returns_set=annotation_is_set(func.returns),
@@ -371,6 +442,7 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             global_mutations=tuple(sorted(
                 flow.free_mutations & global_names)),
             params=flow.params,
+            refs=refs,
         ))
     functions.sort(key=lambda f: (f.line, f.col, f.qualname))
     return ModuleSummary(
@@ -385,6 +457,7 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                            module.line_suppressions.items()},
         file_suppressions=tuple(sorted(module.file_suppressions)),
         mutable_globals=mutable_globals,
+        tables=tables,
     )
 
 
@@ -424,13 +497,16 @@ class CallGraph:
         self.nodes: dict[str, GraphNode] = {}
         self._by_name: dict[str, list[str]] = {}
         self._class_inits: dict[str, list[str]] = {}
-        self._calls: dict[str, tuple[str, ...]] = {}
+        #: table name -> every name a project table of that name lists
+        self._tables: dict[str, set[str]] = {}
         self._callees: dict[str, tuple[str, ...]] = {}
         self._callers: dict[str, tuple[str, ...]] = {}
         self._summaries = {s.rel: s for s in summaries}
 
         for rel in sorted(self._summaries):
             summary = self._summaries[rel]
+            for name, listed in summary.tables.items():
+                self._tables.setdefault(name, set()).update(listed)
             for func in summary.functions:
                 key = f"{rel}::{func.qualname}"
                 self.nodes[key] = GraphNode(
@@ -438,7 +514,6 @@ class CallGraph:
                     line=func.line, col=func.col, effects=func.effects,
                     streams=func.streams, summary=func,
                 )
-                self._calls[key] = func.calls
                 self._by_name.setdefault(func.name, []).append(key)
                 if func.name == "__init__" and "." in func.qualname:
                     class_path = func.qualname.rsplit(".", 1)[0]
@@ -448,9 +523,15 @@ class CallGraph:
         callers: dict[str, list[str]] = {key: [] for key in self.nodes}
         for key in sorted(self.nodes):
             targets: list[str] = []
-            for name in self._calls[key]:
+            summary = self.nodes[key].summary
+            for name in summary.calls:
                 targets.extend(self._by_name.get(name, ()))
                 targets.extend(self._class_inits.get(name, ()))
+            # A value reference binds to functions only: the name itself,
+            # or every name a table of that name lists.
+            for name in summary.refs:
+                for bound in (name, *sorted(self._tables.get(name, ()))):
+                    targets.extend(self._by_name.get(bound, ()))
             resolved = tuple(sorted(set(targets)))
             self._callees[key] = resolved
             for target in resolved:
@@ -479,13 +560,16 @@ class CallGraph:
         return tuple(sorted(self._summaries))
 
     def binding_fingerprint(self) -> str:
-        """Hash of the defined-name index.  When it changes, name-based
-        binding may have changed for *any* caller, so cached propagation
-        results must be discarded wholesale."""
+        """Hash of the defined-name index and the function tables.  When
+        it changes, name-based binding may have changed for *any* caller
+        (a table read binds through another file's table), so cached
+        propagation results must be discarded wholesale."""
         import hashlib
 
         payload = "|".join(sorted(self._by_name)) + "||" + "|".join(
-            sorted(self._class_inits))
+            sorted(self._class_inits)) + "||" + "|".join(
+            f"{name}={','.join(sorted(listed))}"
+            for name, listed in sorted(self._tables.items()))
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def resolve_entry(self, spec: str) -> list[str]:

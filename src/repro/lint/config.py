@@ -1,4 +1,5 @@
-"""cdelint configuration, loadable from ``[tool.cdelint]`` in pyproject.toml.
+"""cdelint configuration: the :class:`LintConfig` defaults are the one
+source; a ``[tool.cdelint]`` table in pyproject.toml may override any knob.
 
 Every scope knob is a tuple of posix path fragments matched against the
 *end* of a checked file's path (a trailing ``/`` marks a directory
@@ -50,31 +51,19 @@ class LintConfig:
     )
     #: ``path::function`` shard-worker entry points (CDE004): the two lane
     #: drivers — ``run_shard``, which runs one lane to completion (the pool
-    #: worker's loop), and the in-process stream that steps every lane.
+    #: worker's loop), and the in-process stream that steps every lane —
+    #: plus the one-world sequential measurer.  Everything they hand on as
+    #: a value (the lane's probe closures, the ``MEASURES`` table's
+    #: measurers) is reached through value-reference edges.
     shard_entries: tuple[str, ...] = (
         "repro/study/parallel.py::run_shard",
         "repro/study/parallel.py::stream_parallel_measurement._stream",
         "repro/study/measurement.py::measure_population",
-        # measure_population reaches these through the MEASURES dict (a
-        # variable call the graph cannot resolve), so the per-technique
-        # measurers are shard entry points in their own right.
-        "repro/study/measurement.py::measure_direct",
-        "repro/study/measurement.py::measure_via_smtp",
-        "repro/study/measurement.py::measure_via_browser",
-        # measure_direct reaches the platform through the probe callable
-        # the lane passes in (a value, not a call by name), so the lane's
-        # two probe closures root the fused corridor and the structured
-        # fallback.
-        "repro/study/engine.py::ShardLane._direct_probe.fused",
-        "repro/study/engine.py::ShardLane._direct_probe.fallback",
     )
     #: ``path::qualname`` roots whose call graphs must stay effect-free
-    #: (CDE007): the shard worker, the lane's probe closures (reached only
-    #: as a value, see ``shard_entries``) and the fault/retry decision paths.
+    #: (CDE007): the shard worker and the fault/retry decision paths.
     effect_roots: tuple[str, ...] = (
         "repro/study/parallel.py::run_shard",
-        "repro/study/engine.py::ShardLane._direct_probe.fused",
-        "repro/study/engine.py::ShardLane._direct_probe.fallback",
         "repro/net/faults.py::FaultInjector.decide",
         "repro/core/resilient.py::RetryPolicy.delay_with_jitter",
         "repro/core/resilient.py::RetryPolicy.backoff",

@@ -58,12 +58,6 @@ EFFECT_ORDER: tuple[Effect, ...] = (
 )
 
 
-def render_effects(effects: frozenset[Effect]) -> str:
-    """``{CLOCK, IO}`` — deterministic human rendering of a signature."""
-    names = [e.value for e in EFFECT_ORDER if e in effects]
-    return "{" + ", ".join(names) + "}"
-
-
 @dataclass(frozen=True, order=True)
 class EffectSite:
     """One direct (leaf) effect at one source location."""

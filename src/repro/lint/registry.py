@@ -47,12 +47,6 @@ class ProjectContext:
     _graph: Optional[CallGraph] = field(default=None, repr=False)
     _effects: Optional[EffectAnalysis] = field(default=None, repr=False)
 
-    def module_by_suffix(self, suffix: str) -> ModuleInfo | None:
-        for module in self.modules:
-            if ("/" + module.rel).endswith("/" + suffix.lstrip("/")):
-                return module
-        return None
-
     @property
     def graph(self) -> CallGraph:
         """The project call graph, built lazily from summaries."""

@@ -16,7 +16,7 @@ check, both invisible to effect analysis:
 
 Value-interning memoisation of immutable objects (the ``DnsName`` intern
 table) is deterministic and shard-safe; such files are carved out via
-``[tool.cdelint] shard-state-allow``.
+the ``shard-state-allow`` config knob.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class CaptureSafetyRule(Rule):
     local), or make the global immutable.  For resources, construct them
     *inside* the worker from the spec's plain values (profile names,
     seeds) as ``WorldConfig`` does for fault injectors.  Deterministic
-    intern tables of immutable values may be carved out via
-    ``[tool.cdelint] shard-state-allow``; spec constructors are
-    configured as ``shard-spec-types``.
+    intern tables of immutable values may be carved out via the
+    ``shard-state-allow`` knob; spec constructors are configured as
+    ``shard-spec-types``.
     """
 
     rule_id = "CDE012"

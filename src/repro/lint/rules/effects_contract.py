@@ -4,8 +4,8 @@ The paper's counting techniques assume every probe is a deterministic
 function of the seeded world.  That assumption has named owners: the
 shard worker (``run_shard``), the fault-injection decision path
 (``FaultInjector.decide``), and the retry/backoff arithmetic.  This rule
-takes the configured ``effect-roots`` (``path::qualname`` specs in
-``[tool.cdelint]``) and reports every CLOCK / RNG / IO / ENV leaf effect
+takes the configured ``effect-roots`` (``path::qualname`` specs, see
+:class:`~repro.lint.config.LintConfig`) and reports every CLOCK / RNG / IO / ENV leaf effect
 whose definition is reachable from a root through the project call graph
 — with the shortest witness chain, so the report reads as a proof.
 

@@ -52,8 +52,8 @@ class ErrorProvenanceRule(Rule):
     flag) or re-raise it so a caller can.  If non-response genuinely
     *is* the signal (the classical IP census treats silence as "no
     resolver"), suppress in place with a justifying comment.  Scopes
-    and exception types are configured as ``[tool.cdelint]
-    probe-paths`` / ``probe-error-types`` / ``probe-history-types``.
+    and exception types are the ``probe-paths`` / ``probe-error-types`` /
+    ``probe-history-types`` config knobs.
     """
 
     rule_id = "CDE013"

@@ -19,7 +19,7 @@ because they preserve the unordered underlying order.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..astutil import is_set_expression, iter_function_defs, local_set_names
 from ..config import path_matches_any
@@ -83,16 +83,3 @@ class UnorderedIterationRule(Rule):
                             "insertion history",
                             symbol=symbol,
                         )
-
-
-def collect_set_returning(modules: list[ModuleInfo]) -> frozenset[str]:
-    """Simple names of callables annotated to return a set, project-wide."""
-    from ..astutil import annotation_is_set
-
-    names: set[str] = set()
-    for module in modules:
-        for func, _qualname, _is_method in iter_function_defs(module.tree):
-            returns: Optional[ast.expr] = func.returns
-            if annotation_is_set(returns):
-                names.add(func.name)
-    return frozenset(names)

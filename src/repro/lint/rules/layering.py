@@ -18,7 +18,7 @@ imports are flagged wherever they appear, including function-local
 "lazy" imports: deferring an upward import hides the cycle, it does not
 remove it.
 
-The layer order comes from ``[tool.cdelint] layers`` (bottom first;
+The layer order comes from the ``layers`` config knob (bottom first;
 space-separated names within one entry form a group that may import one
 another), so the contract lives next to the code it governs.
 """

@@ -44,8 +44,8 @@ class TimingTaintRule(Rule):
     (``timing-sanitizers``), or — if the flow is genuinely sanctioned
     telemetry — add the destination to the ``timing-sinks`` carve-out or
     suppress in place with a justification.  Sources, sinks and
-    sanitizers are configured under ``[tool.cdelint]`` as
-    ``timing-sources`` / ``timing-sinks`` / ``timing-sanitizers``.
+    sanitizers are the ``timing-sources`` / ``timing-sinks`` /
+    ``timing-sanitizers`` config knobs.
     """
 
     rule_id = "CDE010"

@@ -29,7 +29,7 @@ import random
 import resource
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from ..core.analysis import CouponBudgetLedger, queries_for_confidence
 from ..net.perf import PerfCounters
@@ -38,7 +38,6 @@ from .accuracy import AccuracyReport
 from .export import DEFAULT_CHUNK_ROWS, CensusWriter
 from .internet import WorldConfig
 from .measurement import MeasurementBudget, PlatformMeasurement
-from .parallel import WorkerSpec, stream_parallel_measurement
 from .population import PlatformSpec, PopulationGenerator, iter_population
 from .stats import (
     BubbleAccumulator,
@@ -46,6 +45,9 @@ from .stats import (
     RatioAccumulator,
     ResilienceAccumulator,
 )
+
+if TYPE_CHECKING:
+    from .parallel import WorkerSpec
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -265,6 +267,9 @@ def run_census(specs: Optional[list[PlatformSpec]] = None,
             written = _fold_and_write(rows_iter, aggregates, confidence,
                                       writer, keep, max_rss_mb)
         else:
+            # Imported here, so a simulated census loads no engine code.
+            from .parallel import stream_parallel_measurement
+
             if specs is None:
                 specs = list(iter_specs(population, count, seed=seed, **caps))
             streamed = stream_parallel_measurement(

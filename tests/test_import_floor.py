@@ -1,9 +1,10 @@
 """Import floor: a census process loads only the code a census runs.
 
 ``repro``, ``repro.core`` and ``repro.study`` re-export their names
-lazily (:mod:`repro._lazy`), and the process pool is imported only when
-a census starts one, so importing the census driver or the CLI must not
-load the figure, trend, poisoning or lint code, nor
+lazily (:mod:`repro._lazy`), the process pool is imported only when a
+census starts one, and the measurement engine only when a census
+measures, so importing the census driver or the CLI must not load the
+figure, trend, poisoning, lint or engine code, nor
 ``concurrent.futures``/``multiprocessing``.  Each of those would add to
 every census process's peak RSS.  The checks run in a fresh interpreter,
 because the test process has long since imported everything; they
@@ -23,6 +24,7 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Modules a census never runs, so importing the census must not load them.
+#: The engine modules run only in a measuring census, never a simulated one.
 NOT_LOADED = (
     "concurrent.futures",
     "multiprocessing",
@@ -31,6 +33,7 @@ NOT_LOADED = (
     "repro.core.poisoning",
     "repro.lint",
 )
+ENGINE = ("repro.study.parallel", "repro.study.engine")
 
 LAZY_PACKAGES = ("repro", "repro.core", "repro.study")
 
@@ -52,10 +55,19 @@ def test_import_loads_no_report_pool_or_lint_modules(module):
         f"import importlib, json, sys\n"
         f"importlib.import_module({module!r})\n"
         f"print(json.dumps(sorted(sys.modules)))\n")
-    unexpected = [name for name in NOT_LOADED if name in loaded]
+    unexpected = [name for name in NOT_LOADED + ENGINE if name in loaded]
     assert not unexpected, (
         f"import {module} loaded {unexpected}: a census process pays "
         f"their memory without running them")
+
+
+def test_simulated_census_loads_no_engine():
+    loaded = _fresh(
+        "import json, sys\n"
+        "from repro.study.census import run_census\n"
+        "assert run_census(count=20, simulate=True).aggregates.rows == 20\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    assert [name for name in ENGINE if name in loaded] == []
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

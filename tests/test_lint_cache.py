@@ -124,6 +124,36 @@ def test_new_effect_in_leaf_reaches_cached_caller(tmp_path):
     assert warm.findings == run_lint([tmp_path / "t"]).findings
 
 
+
+def test_table_edit_rebinds_the_reader_in_another_file(tmp_path):
+    # run_shard reads a function table that another file defines; editing
+    # only the table's contents changes run_shard's callees although
+    # neither run_shard's file nor any function body changed.
+    tree = tmp_path / "t" / "repro" / "study"
+    tree.mkdir(parents=True)
+    (tree / "helpers.py").write_text(
+        "def quiet() -> str:\n    return \"\"\n\n\n"
+        "def hints() -> str:\n    return open(\"hints.txt\").read()\n")
+    table = tree / "table.py"
+    table.write_text("from .helpers import hints, quiet\n\n"
+                     "MEASURES = {\"a\": quiet}\n")
+    (tree / "parallel.py").write_text(
+        "from .table import MEASURES\n\n\n"
+        "def run_shard(task: str) -> str:\n"
+        "    return MEASURES[task]()\n")
+    cache_dir = tmp_path / "cache"
+    assert run_lint([tmp_path / "t"], cache_dir=cache_dir).findings == []
+
+    table.write_text("from .helpers import hints, quiet\n\n"
+                     "MEASURES = {\"a\": hints}\n")
+    warm = run_lint([tmp_path / "t"], cache_dir=cache_dir)
+    assert [Path(rel).name for rel in warm.reanalyzed_files] == ["table.py"]
+    # CDE007 reads run_shard's propagated signature, which a cached
+    # signature of the old binding would leave effect-free.
+    assert [(f.rule_id, f.symbol) for f in warm.findings] == [
+        ("CDE007", "hints")]
+    assert warm.findings == run_lint([tmp_path / "t"]).findings
+
 def test_corrupt_cache_degrades_to_cold_run(tmp_path):
     tree = make_tree(tmp_path / "t")
     cache_dir = tmp_path / "cache"
@@ -149,7 +179,10 @@ def test_cache_rejects_stale_schema(tmp_path):
         "digest": "0" * 16,
         "findings": [{"path": "a.py", "line": 1, "col": 0,
                       "rule": "CDE015", "message": "stale"}]})
-    for stale in (dict(fresh, summary_version=-1), version_9):
+    # A version-10 cache holds summaries without value references; reused,
+    # they would drop every edge a function passed as a value makes.
+    version_10 = dict(fresh, summary_version=10)
+    for stale in (dict(fresh, summary_version=-1), version_9, version_10):
         (cache_dir / "cache.json").write_text(json.dumps(stale))
         rerun = run_lint([tree], cache_dir=cache_dir)
         assert len(rerun.reanalyzed_files) == 2

@@ -160,6 +160,40 @@ def test_binding_fingerprint_tracks_defined_names(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CDE004 — value references
+# ---------------------------------------------------------------------------
+
+def test_cde004_follows_functions_passed_as_values():
+    # Each impure function is reached from run_shard only as a value: an
+    # argument, a return value, an entry of a table imported from
+    # another file.
+    report = run_lint([FIXTURES / "cde004_values"], select=["CDE004"])
+    chains = {f.symbol: f.message for f in report.findings}
+    assert sorted(chains) == ["_cwd_row", "_environ_mode", "_pid_label"]
+    assert "run_shard -> _environ_mode)" in chains["_environ_mode"]
+    assert "run_shard -> _labeller -> _pid_label)" in chains["_pid_label"]
+    assert "run_shard -> _cwd_row)" in chains["_cwd_row"]
+
+
+def test_value_references_become_edges(tmp_path):
+    source = ("def leaf():\n    return 1\n\n\n"
+              "def passes():\n    return sorted([], key=leaf)\n\n\n"
+              "def keyword():\n    return run(callback=leaf)\n\n\n"
+              "def returns():\n    return leaf\n\n\n"
+              "def lists():\n    return (leaf, 2)\n\n\n"
+              "def mentions():\n    return leaf.__name__\n\n\n"
+              "TABLE = {'a': [leaf]}\n\n\n"
+              "def reads(key):\n    return TABLE[key]()\n")
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    graph = CallGraph([summarize_module(_parse(path, "m.py", source))])
+    for name in ("passes", "keyword", "returns", "lists", "reads"):
+        assert graph.callees(f"m.py::{name}") == ("m.py::leaf",), name
+    # An attribute read is no value use of the function.
+    assert graph.callees("m.py::mentions") == ()
+
+
+# ---------------------------------------------------------------------------
 # CDE007 — effect contracts
 # ---------------------------------------------------------------------------
 

@@ -327,11 +327,6 @@ def test_pyproject_config_roundtrip(tmp_path):
         "repro/study/parallel.py::run_shard",
         "repro/study/parallel.py::stream_parallel_measurement._stream",
         "repro/study/measurement.py::measure_population",
-        "repro/study/measurement.py::measure_direct",
-        "repro/study/measurement.py::measure_via_smtp",
-        "repro/study/measurement.py::measure_via_browser",
-        "repro/study/engine.py::ShardLane._direct_probe.fused",
-        "repro/study/engine.py::ShardLane._direct_probe.fallback",
     )
 
     with pytest.raises(ValueError):
@@ -353,45 +348,69 @@ def src_graph():
         for path in sorted(src.rglob("*.py")))
 
 
-@pytest.mark.parametrize("source", ["defaults", "pyproject"])
-def test_entry_specs_resolve_on_src(src_graph, source):
+def test_entry_specs_resolve_on_src(src_graph):
     # A stale spec resolves to nothing and silently checks nothing, so a
     # rename or deletion of an entry point must update the config too.
-    config = (LintConfig() if source == "defaults"
-              else LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml"))
+    config = LintConfig()
     specs = config.shard_entries + config.effect_roots
     assert specs
     stale = [spec for spec in specs if not src_graph.resolve_entry(spec)]
     assert stale == []
 
 
-def test_pyproject_entry_lists_match_the_defaults():
-    # The repo's pyproject restates the default entry lists; a driver added
-    # or deleted in one list only would leave the two configs checking
-    # different code.
-    defaults = LintConfig()
-    pyproject = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-    assert pyproject.shard_entries == defaults.shard_entries
-    assert pyproject.effect_roots == defaults.effect_roots
+def _reached(src_graph, specs):
+    return src_graph.reachable_with_chains(
+        key for spec in specs for key in src_graph.resolve_entry(spec))
 
 
-@pytest.mark.parametrize("source", ["defaults", "pyproject"])
-def test_shard_entries_reach_both_probe_paths(src_graph, source):
-    # measure_direct reaches the platform only through a probe callable, and
-    # a value passed around is no call-graph edge: without entries of their
-    # own, the fused corridor and the structured prober fall out of the
-    # shard rules' (CDE004/CDE012) and the effect contract's (CDE007) reach.
-    config = (LintConfig() if source == "defaults"
-              else LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml"))
+def test_shard_entries_reach_both_probe_paths(src_graph):
+    # The lane hands measure_direct its probe as a closure and picks the
+    # other measurers from the MEASURES table: run_shard reaches the fused
+    # corridor, the structured prober and both indirect techniques only
+    # through value-reference edges, with no entry point of their own.
     targets = [key
                for spec in ("repro/study/engine.py::_fused_probe",
-                            "repro/core/prober.py::DirectProber.probe")
+                            "repro/core/prober.py::DirectProber.probe",
+                            "repro/study/measurement.py::measure_via_smtp",
+                            "repro/study/measurement.py::measure_via_browser",
+                            "repro/core/prober.py::SmtpProber.trigger",
+                            "repro/core/prober.py::BrowserProber.trigger")
                for key in src_graph.resolve_entry(spec)]
-    assert len(targets) == 2
-    for specs in (config.shard_entries, config.effect_roots):
-        reached = src_graph.reachable_with_chains(
-            key for spec in specs for key in src_graph.resolve_entry(spec))
+    assert len(targets) == 6
+    config = LintConfig()
+    for specs in (("repro/study/parallel.py::run_shard",),
+                  config.shard_entries, config.effect_roots):
+        reached = _reached(src_graph, specs)
         assert [key for key in targets if key not in reached] == []
+
+
+#: The hand-kept lists from before value references became call-graph
+#: edges: callbacks and table entries had to be listed as roots of their
+#: own.  Each still resolves, and the graph only gained edges since, so
+#: what they reach now covers what they reached then.
+HAND_LISTED = {
+    "shard_entries": LintConfig().shard_entries + (
+        "repro/study/measurement.py::measure_direct",
+        "repro/study/measurement.py::measure_via_smtp",
+        "repro/study/measurement.py::measure_via_browser",
+        "repro/study/engine.py::ShardLane._direct_probe.fused",
+        "repro/study/engine.py::ShardLane._direct_probe.fallback",
+    ),
+    "effect_roots": LintConfig().effect_roots + (
+        "repro/study/engine.py::ShardLane._direct_probe.fused",
+        "repro/study/engine.py::ShardLane._direct_probe.fallback",
+    ),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(HAND_LISTED))
+def test_trimmed_entry_lists_keep_the_audited_surface(src_graph, knob):
+    hand_listed = HAND_LISTED[knob]
+    assert [spec for spec in hand_listed
+            if not src_graph.resolve_entry(spec)] == []
+    reached = _reached(src_graph, getattr(LintConfig(), knob))
+    assert [key for key in _reached(src_graph, hand_listed)
+            if key not in reached] == []
 
 
 def test_deleted_config_keys_are_unknown():
