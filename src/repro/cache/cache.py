@@ -88,24 +88,27 @@ class DnsCache:
         An NXDOMAIN entry for the name answers any qtype, matching RFC 2308:
         a cached name error denies the whole name.
         """
-        entry = self._entries.get((name, rtype))
-        if entry is None or entry.is_expired(now):
+        entries = self._entries
+        entry = entries.get((name, rtype))
+        if entry is None or now >= entry.expires_at:
             if entry is not None:
-                del self._entries[entry.key]
+                del entries[(name, rtype)]
                 self.stats.expirations += 1
             # NXDOMAIN covers every qtype at the name.
-            nx = self._entries.get((name, RRType.ANY))
-            if nx is not None and nx.kind == EntryKind.NXDOMAIN:
-                if nx.is_expired(now):
-                    del self._entries[nx.key]
+            nx = entries.get((name, RRType.ANY))
+            if nx is not None and nx.kind is EntryKind.NXDOMAIN:
+                if now >= nx.expires_at:
+                    del entries[(name, RRType.ANY)]
                     self.stats.expirations += 1
                 else:
-                    nx.touch(now)
+                    nx.hits += 1
+                    nx.last_used = now
                     self.stats.hits += 1
                     return nx
             self.stats.misses += 1
             return None
-        entry.touch(now)
+        entry.hits += 1
+        entry.last_used = now
         self.stats.hits += 1
         return entry
 
@@ -178,12 +181,14 @@ class DnsCache:
     def _insert(self, entry: CacheEntry, now: float) -> None:
         if now >= self._next_expiry:
             self._purge_expired(now)
-        if entry.key not in self._entries and len(self._entries) >= self.capacity:
-            victim = self.policy.choose_victim(self._entries.values(), self.rng)
+        entries = self._entries
+        key = (entry.name, entry.rtype)
+        if key not in entries and len(entries) >= self.capacity:
+            victim = self.policy.choose_victim(entries.values(), self.rng)
             if victim is not None:
-                del self._entries[victim]
+                del entries[victim]
                 self.stats.evictions += 1
-        self._entries[entry.key] = entry
+        entries[key] = entry
         if entry.expires_at < self._next_expiry:
             self._next_expiry = entry.expires_at
         self.stats.insertions += 1

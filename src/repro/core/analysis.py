@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def harmonic_number(n: int) -> float:
@@ -46,11 +47,15 @@ def coupon_tail_bound(n: int, t: int) -> float:
     return min(1.0, n * (1.0 - 1.0 / n) ** t)
 
 
+@lru_cache(maxsize=1024)
 def queries_for_confidence(n: int, confidence: float = 0.99) -> int:
     """Smallest t with the tail bound below 1 − confidence.
 
     This is the planner for the direct method's ``q``: how many identical
     queries guarantee (w.h.p.) that all ``n`` caches have been probed.
+    A pure function of its arguments, asked for the same few ``(n,
+    confidence)`` pairs once or twice per census row, so answers are
+    memoized (a bounded cache; invalid arguments raise on every call).
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")

@@ -163,8 +163,6 @@ class DirectProber:
                     rtt=transaction.rtt))
                 last_errored = transaction
                 continue
-            records.append(AttemptRecord(attempt, started, "ok",
-                                         rtt=transaction.rtt))
             return transaction
         if last_errored is not None:
             # Every attempt was answered, just with an error rcode — surface

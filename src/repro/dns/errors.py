@@ -51,13 +51,13 @@ class QueryTimeout(DnsError):
     """A query (or every retransmission of it) was lost in the network."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class AttemptRecord:
-    """One attempt of one probe, as seen by the resilience layer."""
+    """One failed attempt of one probe, as seen by the resilience layer."""
 
     attempt: int                 # 1-based
     started_at: float            # virtual-clock time
-    outcome: str                 # "ok" | "timeout" | "servfail" | "refused"
+    outcome: str                 # "timeout" | "servfail" | "refused"
     rtt: Optional[float] = None
 
 

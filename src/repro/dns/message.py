@@ -16,7 +16,7 @@ from .record import ResourceRecord, RRSet
 from .rrtype import Opcode, RCode, RRClass, RRType
 
 
-@dataclass(frozen=True)
+@dataclass
 class Question:
     qname: DnsName
     qtype: RRType

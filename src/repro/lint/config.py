@@ -107,12 +107,9 @@ class LintConfig:
     #: Files whose module-level mutable globals are sanctioned for shard
     #: use (CDE012) — deterministic value-interning memoisation (the name
     #: intern table and the per-name wire-encode cache: entries depend
-    #: only on their keys, so cross-lane sharing cannot change output),
-    #: plus the linter's own import-time rule registry (never on a shard
-    #: path; it only appears reachable through simple-name call binding).
+    #: only on their keys, so cross-lane sharing cannot change output).
     shard_state_allow: tuple[str, ...] = ("repro/dns/name.py",
-                                          "repro/dns/wire.py",
-                                          "repro/lint/")
+                                          "repro/dns/wire.py")
     #: Probe-path scopes (CDE013): except handlers here must not swallow
     #: probe-failure history.
     probe_paths: tuple[str, ...] = ("repro/core/",)

@@ -8,7 +8,6 @@ from .iterative import (
     IterativeResolver,
     ResolutionResult,
     StepResult,
-    UpstreamQuery,
 )
 from .platform import PlatformConfig, PlatformStats, ResolutionPlatform
 from .selection import (
@@ -38,6 +37,5 @@ __all__ = [
     "RandomEgressSelector", "ResolutionPlatform", "ResolutionResult",
     "RoundRobinEgressSelector", "RoundRobinSelector", "SELECTOR_FACTORIES",
     "SourceIpHashSelector", "StepResult", "StickyRandomSelector",
-    "StubAnswer", "StubResolver", "UniformRandomSelector", "UpstreamQuery",
-    "make_selector",
+    "StubAnswer", "StubResolver", "UniformRandomSelector", "make_selector",
 ]

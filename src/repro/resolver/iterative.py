@@ -38,9 +38,9 @@ MAX_REFERRALS = 24
 MAX_GLUELESS_DEPTH = 4
 
 #: Callback used to reach an upstream server.  Takes (server_ip, query) and
-#: returns the response together with the egress IP that was used — the
-#: platform binds this to its egress-IP selection and the network.
-SendUpstream = Callable[[str, DnsMessage], tuple[DnsMessage, str]]
+#: returns the response — the platform binds this to its egress-IP
+#: selection and the network.
+SendUpstream = Callable[[str, DnsMessage], DnsMessage]
 
 
 class AnswerKind(enum.Enum):
@@ -51,21 +51,10 @@ class AnswerKind(enum.Enum):
 
 
 @dataclass
-class UpstreamQuery:
-    """Trace record of one egress transaction."""
-
-    server_ip: str
-    egress_ip: str
-    qname: DnsName
-    qtype: RRType
-
-
-@dataclass
 class StepResult:
     kind: AnswerKind
     rrset: Optional[RRSet] = None
     soa: Optional[ResourceRecord] = None
-    from_cache: bool = False
 
 
 @dataclass
@@ -75,15 +64,10 @@ class ResolutionResult:
     rcode: RCode
     chain: list[RRSet] = field(default_factory=list)  # CNAME links then answer
     soa: Optional[ResourceRecord] = None
-    upstream: list[UpstreamQuery] = field(default_factory=list)
 
     @property
     def records(self) -> list[ResourceRecord]:
         return [record for rrset in self.chain for record in rrset]
-
-    @property
-    def answered_from_cache(self) -> bool:
-        return not self.upstream
 
 
 class IterativeResolver:
@@ -111,7 +95,6 @@ class IterativeResolver:
 
         Raises :class:`ResolutionError` when every path fails (SERVFAIL).
         """
-        trace: list[UpstreamQuery] = []
         chain: list[RRSet] = []
         seen_names: set[DnsName] = set()
         current = qname
@@ -119,36 +102,34 @@ class IterativeResolver:
             if current in seen_names:
                 raise CnameLoopError(f"CNAME loop at {current}")
             seen_names.add(current)
-            step = self._resolve_step(current, qtype, cache, send, trace)
+            step = self._resolve_step(current, qtype, cache, send)
             if step.kind == AnswerKind.ANSWER:
                 assert step.rrset is not None
                 chain.append(step.rrset)
-                return ResolutionResult(RCode.NOERROR, chain, upstream=trace)
+                return ResolutionResult(RCode.NOERROR, chain)
             if step.kind == AnswerKind.CNAME:
                 assert step.rrset is not None
                 chain.append(step.rrset)
                 target = step.rrset.records[0].rdata
                 assert isinstance(target, CnameRdata)
                 if qtype == RRType.CNAME:
-                    return ResolutionResult(RCode.NOERROR, chain, upstream=trace)
+                    return ResolutionResult(RCode.NOERROR, chain)
                 current = target.target
                 continue
             if step.kind == AnswerKind.NXDOMAIN:
-                return ResolutionResult(RCode.NXDOMAIN, chain, soa=step.soa,
-                                        upstream=trace)
-            return ResolutionResult(RCode.NOERROR, chain, soa=step.soa,
-                                    upstream=trace)  # NODATA
+                return ResolutionResult(RCode.NXDOMAIN, chain, soa=step.soa)
+            return ResolutionResult(RCode.NOERROR, chain, soa=step.soa)  # NODATA
         raise CnameLoopError(f"CNAME chain longer than {MAX_CNAME_DEPTH} from {qname}")
 
     # -- one link of the chain ------------------------------------------------
 
     def _resolve_step(self, qname: DnsName, qtype: RRType, cache: DnsCache,
-                      send: SendUpstream, trace: list[UpstreamQuery],
+                      send: SendUpstream,
                       glueless_depth: int = 0) -> StepResult:
         cached = self._from_cache(qname, qtype, cache)
         if cached is not None:
             return cached
-        return self._query_authorities(qname, qtype, cache, send, trace,
+        return self._query_authorities(qname, qtype, cache, send,
                                        glueless_depth)
 
     def _from_cache(self, qname: DnsName, qtype: RRType,
@@ -157,29 +138,26 @@ class IterativeResolver:
         entry = cache.get(qname, qtype, now)
         if entry is not None:
             if entry.kind == EntryKind.POSITIVE:
-                return StepResult(AnswerKind.ANSWER, rrset=entry.aged_rrset(now),
-                                  from_cache=True)
+                return StepResult(AnswerKind.ANSWER, rrset=entry.aged_rrset(now))
             if entry.kind == EntryKind.NXDOMAIN:
-                return StepResult(AnswerKind.NXDOMAIN, soa=entry.soa, from_cache=True)
-            return StepResult(AnswerKind.NODATA, soa=entry.soa, from_cache=True)
+                return StepResult(AnswerKind.NXDOMAIN, soa=entry.soa)
+            return StepResult(AnswerKind.NODATA, soa=entry.soa)
         if qtype != RRType.CNAME:
             alias = cache.get(qname, RRType.CNAME, now)
             if alias is not None and alias.kind == EntryKind.POSITIVE:
-                return StepResult(AnswerKind.CNAME, rrset=alias.aged_rrset(now),
-                                  from_cache=True)
+                return StepResult(AnswerKind.CNAME, rrset=alias.aged_rrset(now))
         return None
 
     # -- walking the hierarchy ------------------------------------------------
 
     def _query_authorities(self, qname: DnsName, qtype: RRType, cache: DnsCache,
-                           send: SendUpstream, trace: list[UpstreamQuery],
+                           send: SendUpstream,
                            glueless_depth: int) -> StepResult:
-        zone, server_ips = self._closest_known_authority(qname, cache, send,
-                                                         trace, glueless_depth)
+        zone, server_ips = self._closest_known_authority(qname, cache)
         visited: set[str] = set()
         for _ in range(MAX_REFERRALS):
             response = self._try_servers(qname, qtype, server_ips, visited,
-                                         send, trace)
+                                         send)
             if response is None:
                 raise ResolutionError(
                     f"no authority for {qname} responded (zone {zone})"
@@ -195,15 +173,15 @@ class IterativeResolver:
                 )
             zone = new_zone
             server_ips = self._servers_from_referral(response, cache, send,
-                                                     trace, glueless_depth)
+                                                     glueless_depth)
             visited = set()
             if not server_ips:
                 raise ResolutionError(f"referral to {new_zone} has no reachable servers")
         raise ReferralLoopError(f"referral chain exceeded {MAX_REFERRALS} for {qname}")
 
     def _try_servers(self, qname: DnsName, qtype: RRType, server_ips: list[str],
-                     visited: set[str], send: SendUpstream,
-                     trace: list[UpstreamQuery]) -> Optional[DnsMessage]:
+                     visited: set[str], send: SendUpstream
+                     ) -> Optional[DnsMessage]:
         candidates = [ip for ip in server_ips if ip not in visited]
         self.rng.shuffle(candidates)
         for server_ip in candidates:
@@ -214,12 +192,11 @@ class IterativeResolver:
                 recursion_desired=False,
             )
             try:
-                response, egress_ip = send(server_ip, query)
+                response = send(server_ip, query)
                 if response.truncated:
-                    response, egress_ip = send(server_ip, query.over_tcp())
+                    response = send(server_ip, query.over_tcp())
             except (QueryTimeout, NetworkUnreachable):
                 continue
-            trace.append(UpstreamQuery(server_ip, egress_ip, qname, qtype))
             if response.rcode in (RCode.NOERROR, RCode.NXDOMAIN):
                 return response
         return None
@@ -270,7 +247,7 @@ class IterativeResolver:
         return ns[0].name if ns else None
 
     def _servers_from_referral(self, response: DnsMessage, cache: DnsCache,
-                               send: SendUpstream, trace: list[UpstreamQuery],
+                               send: SendUpstream,
                                glueless_depth: int) -> list[str]:
         ips: list[str] = []
         glue = {record.name: record for record in response.additional
@@ -282,18 +259,18 @@ class IterativeResolver:
             if glue_record is not None:
                 ips.append(glue_record.rdata.address)  # type: ignore[attr-defined]
             else:
-                ips.extend(self._resolve_ns_address(ns_name, cache, send, trace,
+                ips.extend(self._resolve_ns_address(ns_name, cache, send,
                                                     glueless_depth))
         return ips
 
     def _resolve_ns_address(self, ns_name: DnsName, cache: DnsCache,
-                            send: SendUpstream, trace: list[UpstreamQuery],
+                            send: SendUpstream,
                             glueless_depth: int) -> list[str]:
         """Glueless delegation: resolve the NS host's A record ourselves."""
         if glueless_depth >= MAX_GLUELESS_DEPTH:
             return []
         try:
-            step = self._resolve_step(ns_name, RRType.A, cache, send, trace,
+            step = self._resolve_step(ns_name, RRType.A, cache, send,
                                       glueless_depth + 1)
         except ResolutionError:
             return []
@@ -302,9 +279,7 @@ class IterativeResolver:
                     if record.rtype == RRType.A]
         return []
 
-    def _closest_known_authority(self, qname: DnsName, cache: DnsCache,
-                                 send: SendUpstream, trace: list[UpstreamQuery],
-                                 glueless_depth: int
+    def _closest_known_authority(self, qname: DnsName, cache: DnsCache
                                  ) -> tuple[DnsName, list[str]]:
         """Deepest zone with a cached NS set whose servers we can address."""
         now = self.now()

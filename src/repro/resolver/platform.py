@@ -212,18 +212,18 @@ class ResolutionPlatform:
             if collapsed is not None:
                 return collapsed
         self._sequence += 1
-        context = QueryContext(
-            qname=query.qname, qtype=query.qtype, src_ip=src_ip,
-            sequence=self._sequence,
-        )
-        cache = self._pick_cache(context)
+        question = query.question
+        assert question is not None
+        qname, qtype = question.qname, question.qtype
+        cache = self._pick_cache(
+            QueryContext(qname, qtype, src_ip, self._sequence))
         if cache is None:
             self.stats.failures += 1
             return query.make_response(RCode.SERVFAIL)
         # Intra-platform hop: negligible but nonzero.
         self.network.clock.advance(0.0002)
         try:
-            chain, rcode = self._answer_from(cache, query.qname, query.qtype)
+            chain, rcode = self._answer_from(cache, qname, qtype)
         except ResolutionError:
             self.stats.failures += 1
             response = query.make_response(RCode.SERVFAIL)
@@ -366,22 +366,26 @@ class ResolutionPlatform:
 
     def _resolve_upstream(self, cache: DnsCache, qname: DnsName,
                           qtype: RRType) -> ResolutionResult:
-        cache_index = next(
-            (i for i, c in enumerate(self.caches) if c is cache), 0)
+        egress_ips = self.config.egress_ips
+        n_egress = len(egress_ips)
+        query = self.network.query
+        stats = self.stats
+        select_for_cache = getattr(self.egress_selector, "select_for_cache",
+                                   None)
+        if select_for_cache is None:
+            select = self.egress_selector.select
+        else:
+            cache_index = next(
+                (i for i, c in enumerate(self.caches) if c is cache), 0)
 
-        def send(server_ip: str, message: DnsMessage) -> tuple[DnsMessage, str]:
-            select_for_cache = getattr(self.egress_selector,
-                                       "select_for_cache", None)
-            if select_for_cache is not None:
-                egress_index = select_for_cache(
-                    cache_index, server_ip, len(self.config.egress_ips))
-            else:
-                egress_index = self.egress_selector.select(
-                    server_ip, len(self.config.egress_ips))
-            egress_ip = self.config.egress_ips[egress_index]
-            transaction = self.network.query(egress_ip, server_ip, message)
-            self.stats.upstream_queries += 1
-            return transaction.response, egress_ip
+            def select(server_ip: str, n_egress: int) -> int:
+                return select_for_cache(cache_index, server_ip, n_egress)
+
+        def send(server_ip: str, message: DnsMessage) -> DnsMessage:
+            transaction = query(egress_ips[select(server_ip, n_egress)],
+                                server_ip, message)
+            stats.upstream_queries += 1
+            return transaction.response
 
         return self.engine.resolve(qname, qtype, cache, send)
 

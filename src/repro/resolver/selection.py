@@ -25,7 +25,7 @@ from ..dns.rrtype import RRType
 from ..net.rng import fallback_rng
 
 
-@dataclass(frozen=True)
+@dataclass
 class QueryContext:
     """What the load balancer can see of one arriving query."""
 

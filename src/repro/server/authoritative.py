@@ -73,19 +73,16 @@ class AuthoritativeServer:
                        network: Network) -> Optional[DnsMessage]:
         if not self.online:
             return None
-        if message.is_response or message.question is None:
+        question = message.question
+        if message.is_response or question is None:
             return None
         if self.rrl_rate is not None and \
                 not self._rrl_allow(src_ip, network.clock.now):
             self.rrl_dropped += 1
             return None
-        self.query_log.record(LogEntry(
-            timestamp=network.clock.now,
-            src_ip=src_ip,
-            qname=message.qname,
-            qtype=message.qtype,
-            msg_id=message.msg_id,
-        ))
+        self.query_log.record(LogEntry(network.clock.now, src_ip,
+                                       question.qname, question.qtype,
+                                       message.msg_id))
         response = self.respond(message)
         return maybe_truncate(message, response, self.edns_payload_size)
 
@@ -106,13 +103,15 @@ class AuthoritativeServer:
 
     def respond(self, query: DnsMessage) -> DnsMessage:
         """Build the authoritative response for ``query``."""
-        zone = self.zone_for(query.qname)
+        question = query.question
+        assert question is not None
+        zone = self.zone_for(question.qname)
         if zone is None:
             refused = query.make_response(RCode.REFUSED)
             refused.edns_payload_size = self._negotiated_payload(query)
             return refused
 
-        result = zone.lookup(query.qname, query.qtype)
+        result = zone.lookup(question.qname, question.qtype)
         response = query.make_response()
         response.edns_payload_size = self._negotiated_payload(query)
 

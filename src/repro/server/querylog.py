@@ -50,7 +50,7 @@ from ..dns.name import DnsName
 from ..dns.rrtype import RRType
 
 
-@dataclass(frozen=True)
+@dataclass
 class LogEntry:
     timestamp: float
     src_ip: str

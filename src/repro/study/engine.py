@@ -25,14 +25,14 @@
   walk, and the captured referral chain replayed into an empty cache
   (:class:`_ColdChain`).  A platform that fails a precondition of
   :meth:`_FastPlan.build` (retry policies, fault injectors, closed
-  resolvers, frontend dedup, link models outside :func:`_link_params`...)
+  resolvers, frontend dedup, links that do not compile...)
   takes the structured path for every probe; an upstream no tier covers
   (a stale memo, a declined chain) runs the real ``_resolve_upstream``
   from exactly the point the real code would.  The replication is pinned
   at run time: ``TestFusedCorridorEquivalence`` in
   ``tests/test_study_parallel.py`` runs hypothesis-drawn shards with the
   fast plan on and off and compares every counter, cache entry, RNG
-  stream, log entry and built object layout.
+  stream, log entry and built cache-entry layout.
 
 The fast path rests on one structural fact the engine controls: corridor
 probe names come from ``cde.unique_name``/``unique_names`` *immediately*
@@ -73,9 +73,7 @@ from ..dns.record import (
 )
 from ..dns.rrtype import RCode, RRClass, RRType
 from ..dns.zone import WILDCARD_LABEL, Zone
-from ..net.latency import ConstantLatency, LogNormalLatency
-from ..net.loss import BernoulliLoss, NoLoss
-from ..net.network import LinkProfile, Network
+from ..net.network import LinkParams, Network
 from ..net.perf import ShardPerf, snapshot_stats, stats_delta
 from ..resolver.platform import MAX_ANSWER_CHAIN, ResolutionPlatform
 from ..resolver.selection import (
@@ -98,8 +96,6 @@ if TYPE_CHECKING:
 _DEFAULT_TIMEOUT = Network.DEFAULT_TIMEOUT
 _DEFAULT_RETRIES = Network.DEFAULT_RETRIES
 
-#: (lognormal?, median-or-delay, sigma, loss rate) for one link direction.
-_LegParams = tuple[bool, float, float, float]
 #: Warm-corridor memo: the cached (base, NS) and (ns, A) entries.
 _CorridorMemo = tuple[CacheEntry, CacheEntry]
 #: Wildcard template: (rrsets key, RRSet, record count, records, min TTL).
@@ -108,52 +104,19 @@ _Template = tuple[tuple[DnsName, RRType], RRSet, int,
 #: One referral hop of the cold-resolution chain:
 #: (server, zone-name for the error message, dst link params, and the
 #: RRsets its referral response makes the resolver cache).
-_ColdLevel = tuple[AuthoritativeServer, DnsName, _LegParams,
+_ColdLevel = tuple[AuthoritativeServer, DnsName, LinkParams,
                    tuple[RRSet, ...]]
 #: Zone-shape token guarding a captured chain: (server, zone, zone count,
 #: rrset count).  Any mismatch forces a re-capture before the next replay.
 _ColdToken = tuple[AuthoritativeServer, Zone, int, int]
 
-
-def _link_params(profile: Optional[LinkProfile]) -> Optional[_LegParams]:
-    """Flattened sampling parameters for the type-gated traversal inline.
-
-    Only the models whose draw sequence :func:`_leg` replicates exactly
-    are eligible; ``None`` for anything else (or no profile) keeps the
-    hop off the corridor.
-    """
-    if profile is None:
-        return None
-    latency = profile.latency
-    if type(latency) is LogNormalLatency:
-        lognormal, median, sigma = True, latency.median, latency.sigma
-    elif type(latency) is ConstantLatency:
-        lognormal, median, sigma = False, latency.delay, 0.0
-    else:
-        return None
-    loss = profile.loss
-    if type(loss) is NoLoss:
-        rate = 0.0
-    elif type(loss) is BernoulliLoss:
-        rate = loss.rate
-    else:
-        return None
-    return (lognormal, median, sigma, rate)
-
-
-#: The corridor builds ``LogEntry``, ``QueryContext``, ``ResourceRecord``,
-#: ``RRSet`` and ``CacheEntry`` as ``object.__new__`` plus a ``__dict__``
-#: literal in field order, skipping the dataclass ``__init__``;
-#: ``TestFusedCorridorEquivalence`` checks every object so built against
-#: its dataclass's fields.
+#: The corridor builds its ``CacheEntry`` as ``object.__new__`` plus a
+#: ``__dict__`` literal in field order: measurably cheaper than the
+#: dataclass ``__init__`` and its ``__post_init__``.  Every other object
+#: it builds calls the real constructor.  ``TestFusedCorridorEquivalence``
+#: checks each entry so built against the dataclass's fields.
 _obj_new = object.__new__
-#: Bypasses the frozen-dataclass ``__setattr__`` (which rejects even
-#: ``__dict__`` assignment) — exactly what dataclass ``__init__`` does.
-_obj_setattr = object.__setattr__
 _POSITIVE = EntryKind.POSITIVE
-_ANY = RRType.ANY
-_CNAME = RRType.CNAME
-_NS = RRType.NS
 
 
 class _ColdChain:
@@ -174,8 +137,8 @@ class _ColdChain:
     question does, which ingest ignores), so the captured RRsets replay
     verbatim for any corridor name.  On any structural surprise — multiple
     roots or candidate servers, glueless delegations, truncation, a
-    non-wildcard answer, a link model outside :func:`_link_params` — the
-    capture declines and cold resolutions stay on the real path.
+    non-wildcard answer, a link that does not compile — the capture
+    declines and cold resolutions stay on the real path.
     """
 
     __slots__ = ("network", "server", "ns_ip", "base_domain", "root_hints",
@@ -211,7 +174,7 @@ class _ColdChain:
                 return
             if not endpoint.online or endpoint.rrl_rate is not None:
                 return
-            params = _link_params(self.network.profile_of(server_ip))
+            params = self.network.link_of(server_ip)
             if params is None:
                 return
             zone = endpoint.zone_for(probe)
@@ -328,8 +291,8 @@ class _FastPlan:
     )
 
     def __init__(self, world: SimulatedInternet, platform: ResolutionPlatform,
-                 probe_src: _LegParams, probe_dst: _LegParams,
-                 server_dst: _LegParams, egress_src: list[_LegParams],
+                 probe_src: LinkParams, probe_dst: LinkParams,
+                 server_dst: LinkParams, egress_src: list[LinkParams],
                  cold: _ColdChain):
         self.clock = world.network.clock
         self.stats = world.network.stats
@@ -426,22 +389,21 @@ class _FastPlan:
             return None
         if network.endpoint_at(config.ingress_ips[0]) is not platform:
             return None
-        probe_src = _link_params(network.profile_of(prober.prober_ip))
-        probe_dst = _link_params(network.profile_of(config.ingress_ips[0]))
-        server_dst = _link_params(network.profile_of(ns_ip))
-        egress_src = [_link_params(network.profile_of(ip))
-                      for ip in config.egress_ips]
+        probe_src = network.link_of(prober.prober_ip)
+        probe_dst = network.link_of(config.ingress_ips[0])
+        server_dst = network.link_of(ns_ip)
+        egress_src = [network.link_of(ip) for ip in config.egress_ips]
         if probe_src is None or probe_dst is None or server_dst is None or \
                 any(params is None for params in egress_src):
-            return None           # unregistered or out-of-gate link model
+            return None           # unregistered or uncompiled link
         return cls(world, platform, probe_src, probe_dst, server_dst,
                    [params for params in egress_src if params is not None],
                    cold)
 
 
-def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
+def _leg(plan: _FastPlan, src: LinkParams, dst: LinkParams
          ) -> tuple[bool, float]:
-    """``Network._traverse`` inlined for the gated link models.
+    """``Network._traverse`` for two compiled links.
 
     Same draws, same order, same short-circuit: destination latency,
     destination loss, source latency, then source loss only when the
@@ -482,14 +444,14 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
         attempts += 1
         if attempts > 1:
             stats.retransmissions += 1
-        sent_at = clock._now
+        sent_at = clock.now
         stats.messages_sent += 1
         lost, latency = _leg(plan, src, dst)
         if lost:
             stats.requests_lost += 1
-            clock._now = sent_at + timeout      # advance_to, never backward
+            clock.now = sent_at + timeout      # advance_to, never backward
             continue
-        clock._now = sent_at + latency
+        clock.now = sent_at + latency
         # The platform answers every eligible query (a SERVFAIL is still a
         # response), so the silent-drop branch cannot trigger here.
         _fused_resolve(plan, qname, qtype)
@@ -497,10 +459,10 @@ def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
         if lost:
             stats.responses_lost += 1
             deadline = sent_at + timeout
-            if deadline > clock._now:           # max(now, deadline)
-                clock._now = deadline
+            if deadline > clock.now:           # max(now, deadline)
+                clock.now = deadline
             continue
-        clock._now += latency
+        clock.now += latency
         stats.messages_delivered += 1
         return True
     stats.timeouts += 1
@@ -529,15 +491,12 @@ def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
             memo[qname] = cache_index = _stable_hash(
                 salt, str(qname).lower()) % plan.n_caches
     else:
-        context = _obj_new(QueryContext)
-        _obj_setattr(context, "__dict__",
-                     {"qname": qname, "qtype": qtype,
-                      "src_ip": plan.prober_ip,
-                      "sequence": platform._sequence})
-        cache_index = plan.cache_selector.select(context, plan.n_caches)
+        cache_index = plan.cache_selector.select(
+            QueryContext(qname, qtype, plan.prober_ip, platform._sequence),
+            plan.n_caches)
     cache = plan.caches[cache_index]
     clock = plan.clock
-    clock._now += 0.0002        # intra-platform hop, as in resolve_for_client
+    clock.now += 0.0002        # intra-platform hop, as in resolve_for_client
     centries = cache._entries
     # Corridor names are freshly minted, so the chain gets at the name are
     # provable misses; verify the keys really are absent (this covers the
@@ -572,7 +531,7 @@ def _fused_resolve_chain(plan: _FastPlan, cache: DnsCache, cache_index: int,
     """
     platform = plan.platform
     pstats = platform.stats
-    now = plan.clock._now
+    now = plan.clock.now
     current = qname
     for _ in range(MAX_ANSWER_CHAIN):
         entry = cache.get(current, qtype, now)
@@ -617,7 +576,7 @@ def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
         return False
     memo = plan.corridor[cache_index]
     if memo is not None:
-        now = plan.clock._now
+        now = plan.clock.now
         ns_entry, a_entry = memo
         centries = cache._entries
         # The cold replay that set the memo seeded these.
@@ -736,7 +695,7 @@ def _fused_answer(plan: _FastPlan, cache: DnsCache, qname: DnsName,
                   ttl, ingested_at)
 
 
-def _fused_exchange(plan: _FastPlan, log: QueryLog, dst_params: _LegParams,
+def _fused_exchange(plan: _FastPlan, log: QueryLog, dst_params: LinkParams,
                     qname: DnsName, qtype: RRType, zone_name: DnsName
                     ) -> float:
     """One ``_try_servers`` send to a single-candidate server.
@@ -758,33 +717,29 @@ def _fused_exchange(plan: _FastPlan, log: QueryLog, dst_params: _LegParams,
         attempts += 1
         if attempts > 1:
             stats.retransmissions += 1
-        sent_at = clock._now
+        sent_at = clock.now
         stats.messages_sent += 1
         lost, latency = _leg(plan, src_params, dst_params)
         if lost:
             stats.requests_lost += 1
-            clock._now = sent_at + _DEFAULT_TIMEOUT
+            clock.now = sent_at + _DEFAULT_TIMEOUT
             continue
-        clock._now = sent_at + latency
+        clock.now = sent_at + latency
         # AuthoritativeServer.handle_message logs every attempt whose
         # request leg survived — including those whose response is then
         # lost.
-        entry = _obj_new(LogEntry)
-        _obj_setattr(entry, "__dict__",
-                     {"timestamp": clock._now, "src_ip": egress_ip,
-                      "qname": qname, "qtype": qtype, "msg_id": msg_id})
-        log.record(entry)
+        log.record(LogEntry(clock.now, egress_ip, qname, qtype, msg_id))
         lost, latency = _leg(plan, src_params, dst_params)
         if lost:
             stats.responses_lost += 1
             deadline = sent_at + _DEFAULT_TIMEOUT
-            if deadline > clock._now:
-                clock._now = deadline
+            if deadline > clock.now:
+                clock.now = deadline
             continue
-        clock._now += latency
+        clock.now += latency
         stats.messages_delivered += 1
         plan.platform.stats.upstream_queries += 1
-        return clock._now
+        return clock.now
     stats.timeouts += 1
     raise ResolutionError(
         f"no authority for {qname} responded (zone {zone_name})")
@@ -793,8 +748,9 @@ def _fused_exchange(plan: _FastPlan, log: QueryLog, dst_params: _LegParams,
 def _put_positive(cache: DnsCache, name: DnsName, rtype: RRType,
                   rclass: RRClass, records: Sequence[ResourceRecord],
                   owner: Optional[DnsName], ttl: int, now: float) -> None:
-    """``put_rrset`` by ``__dict__``: clamp the TTL, re-own the records at
-    the clamped TTL and insert the positive entry.
+    """``put_rrset`` without the source RRSet: clamp the TTL, re-own the
+    records at the clamped TTL and insert the positive entry (built by
+    ``__dict__``).
 
     ``owner`` renames every record (``None`` keeps each record's own
     name).  The TTL window that ``DnsCache`` and ``PlatformConfig`` both
@@ -804,20 +760,14 @@ def _put_positive(cache: DnsCache, name: DnsName, rtype: RRType,
     clamped = cache.clamp_ttl(ttl)
     owned = []
     for record in records:
-        copy = _obj_new(ResourceRecord)
-        _obj_setattr(copy, "__dict__",
-                     {"name": record.name if owner is None else owner,
-                      "rtype": record.rtype, "ttl": clamped,
-                      "rdata": record.rdata, "rclass": record.rclass})
-        owned.append(copy)
-    rrset = _obj_new(RRSet)
-    rrset.__dict__ = {"name": name, "rtype": rtype, "rclass": rclass,
-                      "records": owned}
+        owned.append(ResourceRecord(record.name if owner is None else owner,
+                                    record.rtype, clamped, record.rdata,
+                                    record.rclass))
     entry = _obj_new(CacheEntry)
     entry.__dict__ = {"name": name, "rtype": rtype, "kind": _POSITIVE,
                       "stored_at": now, "expires_at": now + clamped,
-                      "rrset": rrset, "soa": None, "hits": 0,
-                      "last_used": now}
+                      "rrset": RRSet(name, rtype, rclass, owned), "soa": None,
+                      "hits": 0, "last_used": now}
     cache._insert(entry, now)
 
 

@@ -107,6 +107,22 @@ class TestTailBounds:
         with pytest.raises(ValueError):
             queries_for_confidence(4, 0.0)
 
+    @pytest.mark.parametrize("confidence", [0.9, 0.99, 0.999])
+    def test_memoized_answers_equal_the_uncached_function(self, confidence):
+        uncached = queries_for_confidence.__wrapped__
+        for n in range(1, 257):
+            expected = uncached(n, confidence)
+            assert queries_for_confidence(n, confidence) == expected
+            # A second ask is served from the memo, and still agrees.
+            assert queries_for_confidence(n, confidence) == expected
+
+    @pytest.mark.parametrize("n, confidence", [
+        (4, 1.0), (4, 0.0), (4, -0.5), (0, 0.99), (-3, 0.9)])
+    def test_invalid_arguments_raise_on_every_call(self, n, confidence):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                queries_for_confidence(n, confidence)
+
 
 class TestCoverage:
     def test_paper_formula(self):

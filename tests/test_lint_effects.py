@@ -329,3 +329,75 @@ def test_shuffled_input_paths_produce_identical_reports():
     report = run_lint(list(files) + list(files))
     assert report.findings == baseline.findings
     assert report.files_checked == baseline.files_checked
+
+
+# ---------------------------------------------------------------------------
+# binding: method calls and ``__init__`` calls
+# ---------------------------------------------------------------------------
+
+def test_init_calls_bind_to_the_enclosing_class_bases(tmp_path):
+    source = ("class Root:\n    def __init__(self):\n        pass\n\n\n"
+              "class Middle(Root):\n    pass\n\n\n"
+              "class Leaf(Middle):\n"
+              "    def __init__(self):\n        super().__init__()\n\n\n"
+              "class Named(Root):\n"
+              "    def __init__(self):\n        Root.__init__(self)\n\n\n"
+              "class Unrelated:\n    def __init__(self):\n        pass\n\n\n"
+              "def anywhere(obj):\n    obj.__init__()\n")
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    graph = CallGraph([summarize_module(_parse(path, "m.py", source))])
+    # Middle defines no __init__, so the call passes through to Root's.
+    assert graph.callees("m.py::Leaf.__init__") == ("m.py::Root.__init__",)
+    assert graph.callees("m.py::Named.__init__") == ("m.py::Root.__init__",)
+    # Outside a class the receiver is unknown: every __init__ stays bound.
+    assert len(graph.callees("m.py::anywhere")) == 4
+
+
+def test_method_calls_bind_to_methods_not_module_functions(tmp_path):
+    helper = ("_TABLE = {}\n\n\n"
+              "def register(item):\n    _TABLE[item] = 1\n")
+    source = ("import helper\n\n\n"
+              "class Network:\n"
+              "    def register(self, ip):\n        pass\n\n\n"
+              "def on_object(network):\n    network.register('ip')\n\n\n"
+              "def on_module():\n    helper.register('x')\n")
+    summaries = []
+    for name, text in (("helper.py", helper), ("m.py", source)):
+        path = tmp_path / name
+        path.write_text(text)
+        summaries.append(summarize_module(_parse(path, name, text)))
+    graph = CallGraph(summaries)
+    assert graph.callees("m.py::on_object") == ("m.py::Network.register",)
+    # A call through an imported name may reach a module function.
+    assert "helper.py::register" in graph.callees("m.py::on_module")
+
+
+def test_planted_env_read_chain_stays_out_of_the_linter(tmp_path):
+    """An ``os.environ.get`` planted in the fused corridor is reported
+    with a chain through measurement code only: ``super().__init__()``
+    in an exception class no longer binds to the linter's own
+    ``_Scanner.__init__``, and no ``repro/lint/`` global needs a shard
+    allowance."""
+    import shutil
+
+    shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "repro")
+    engine = tmp_path / "repro" / "study" / "engine.py"
+    text = engine.read_text(encoding="utf-8")
+    anchor = "    plan.prober.queries_sent += 1\n"
+    assert text.count(anchor) == 1
+    engine.write_text(text.replace("import time\n", "import os\nimport time\n")
+                      .replace(anchor, anchor + '    os.environ.get("X")\n'),
+                      encoding="utf-8")
+    report = run_lint([tmp_path], select=["CDE004", "CDE007", "CDE012"])
+    planted = [f for f in report.findings if f.symbol == "_fused_probe"]
+    assert planted, report.findings
+    assert all("_fused_probe" in f.message for f in planted)
+    assert not [f for f in report.findings
+                if "_Scanner" in f.message or "/repro/lint/" in f.path]
+    graph_reach = CallGraph(
+        summarize_module(_parse(path, path.relative_to(tmp_path).as_posix(),
+                                path.read_text(encoding="utf-8")))
+        for path in sorted((tmp_path / "repro").rglob("*.py")))
+    init = "repro/dns/errors.py::ProbeFailure.__init__"
+    assert graph_reach.callees(init) == ()

@@ -19,16 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cache.entry import CacheEntry
 from repro.core import infrastructure
 from repro.core.infrastructure import PROBE_TTL
-from repro.dns.record import ResourceRecord, RRSet
 from repro.net.latency import ConstantLatency, LogNormalLatency
 from repro.net.loss import BernoulliLoss, NoLoss
 from repro.net.network import LinkProfile
 from repro.resolver.platform import ResolutionPlatform
-from repro.resolver.selection import QueryContext
 from repro.server import hierarchy
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.hierarchy import DELEGATION_TTL
-from repro.server.querylog import LogEntry
 from repro.study import (
     DEFAULT_SHARDS,
     MIN_PLATFORMS_PER_WORKER,
@@ -311,7 +308,8 @@ class CorridorShape:
     ns_ttl: int = DELEGATION_TTL
 
 
-#: Every model the corridor's inline traversal takes (``_link_params``).
+#: Every model that compiles (``repro.net.network.compile_link``), so the
+#: corridor takes every link.
 _LINKS = st.builds(
     LinkProfile,
     latency=st.one_of(
@@ -351,11 +349,11 @@ _TTL_EXPIRY = CorridorShape(
     prober=_STEADY, ingress=_STEADY, egress=_STEADY, server=_STEADY,
     wildcard_ttl=1, ns_ttl=2)
 
-#: Classes the corridor builds as ``object.__new__`` plus a ``__dict__``
-#: literal, skipping the dataclass ``__init__``.  This test is the only
-#: guard on those literals: each built object's ``vars()`` must follow its
-#: dataclass's field order.
-_LAYOUT_CLASSES = (LogEntry, CacheEntry, RRSet, ResourceRecord, QueryContext)
+#: The corridor builds its ``CacheEntry`` as ``object.__new__`` plus a
+#: ``__dict__`` literal, skipping the dataclass ``__init__``.  This test is
+#: the only guard on that literal: each built entry's ``vars()`` must
+#: follow the dataclass's field order.
+_LAYOUT_CLASSES = (CacheEntry,)
 
 
 def _rng_state(value):
@@ -481,7 +479,7 @@ class TestFusedCorridorEquivalence:
     and TTLs, both runs must leave the same cache counters and entries,
     platform and selector state, RNG streams and server logs at every
     retirement, and the same rows, network counters, clock and RNG
-    positions at the end.  Every object the corridor built by
+    positions at the end.  Every cache entry the corridor built by
     ``__dict__`` must carry its dataclass's field order.
     """
 
