@@ -52,10 +52,6 @@ class CacheEntry:
             return None
         return self.rrset.with_ttl(self.remaining_ttl(now))
 
-    def touch(self, now: float) -> None:
-        self.hits += 1
-        self.last_used = now
-
     @property
     def key(self) -> tuple[DnsName, RRType]:
         return (self.name, self.rtype)

@@ -14,9 +14,10 @@ by construction:
   file correctly invalidates the iteration findings of every file.
 * **Propagated effect signatures** plus the call graph's binding
   fingerprint, so a warm run re-propagates only the dirty subgraph
-  (:meth:`repro.lint.effects.EffectAnalysis.build`); when the defined-
-  name index changed (a function was added/renamed), name-based binding
-  may have changed anywhere and the signatures are discarded wholesale.
+  (:meth:`repro.lint.effects.EffectAnalysis.build`); when the set of
+  functions changed (one was added, deleted, renamed or moved), name-based
+  binding may have changed anywhere and the signatures are discarded
+  wholesale.
 
 The whole cache is one JSON document written atomically (tmp + rename),
 so a crashed or raced run can only ever lose the cache, never corrupt a

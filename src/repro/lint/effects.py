@@ -292,8 +292,8 @@ class EffectAnalysis:
         transitive caller that can reach one — is re-propagated; clean
         functions keep their cached signatures.  A cached signature is
         trusted only if the binding environment is unchanged, which the
-        caller guarantees by comparing the defined-name index (see
-        :meth:`CallGraph.binding_fingerprint`) before passing ``cached``.
+        caller guarantees by comparing
+        :meth:`CallGraph.binding_fingerprint` before passing ``cached``.
         """
         direct: dict[str, frozenset[Effect]] = {
             key: frozenset(Effect(site.effect) for site in node.effects)

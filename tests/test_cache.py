@@ -198,12 +198,17 @@ class TestEntry:
         assert entry.remaining_ttl(5.0) == 5
         assert entry.remaining_ttl(50.0) == 0
 
-    def test_touch_updates_recency(self):
-        entry = CacheEntry(name("a.example"), RRType.A, EntryKind.NODATA,
-                           stored_at=0.0, expires_at=10.0)
-        entry.touch(3.0)
-        assert entry.hits == 1
-        assert entry.last_used == 3.0
+    def test_touch_updates_recency(self, cache):
+        # A hit touches the entry it returns: directly, or through the
+        # NXDOMAIN entry that answers every qtype at its name.
+        cache.put_rrset(rrset_for("a.example"), now=0.0)
+        cache.put_nxdomain(name("nx.example"), now=0.0)
+        for now in (2.0, 3.0):
+            entry = cache.get(name("a.example"), RRType.A, now=now)
+            nx = cache.get(name("nx.example"), RRType.TXT, now=now)
+        assert (entry.hits, entry.last_used) == (2, 3.0)
+        assert nx.kind is EntryKind.NXDOMAIN
+        assert (nx.hits, nx.last_used) == (2, 3.0)
 
 
 class TestProperties:

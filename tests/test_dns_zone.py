@@ -28,7 +28,7 @@ from repro.dns import (
     txt_record,
     zone_to_text,
 )
-from repro.dns.zone import WILDCARD_LABEL, _reown, _reown_record
+from repro.dns.zone import WILDCARD_LABEL, _reown
 from repro.net.network import Network
 from repro.server.hierarchy import RootHierarchy
 
@@ -376,10 +376,9 @@ class ScanZone:
                 for record in rrset
             ]
             if records:
-                rrset = RRSet(synthesize_as or owner, records[0].rtype)
-                rrset.records = [_reown_record(record, synthesize_as)
-                                 for record in records]
-                return LookupResult(LookupKind.ANSWER, rrset=rrset)
+                rrset = RRSet(owner, records[0].rtype, records=records)
+                return LookupResult(LookupKind.ANSWER,
+                                    rrset=_reown(rrset, synthesize_as))
             return None
         rrset = self._rrsets.get((owner, qtype))
         if rrset:

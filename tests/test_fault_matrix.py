@@ -17,6 +17,8 @@ resilience layer promises:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -31,7 +33,9 @@ from repro.net.faults import (
     FaultKind,
     FaultPlan,
     FaultRule,
+    TimeWindow,
 )
+from repro.net import SimClock
 from repro.study import MeasurementBudget, build_world, measure_population
 from repro.study.population import generate_population
 
@@ -120,6 +124,51 @@ class TestFaultTechniqueMatrix:
                                     n_egress=2)
         _run("timing", world, hosted)
         assert world.fault_exposure_snapshot().get("latency-spike", 0) > 0
+
+
+class TestDecideRuleSemantics:
+    """``FaultInjector.decide`` is where a rule's scope, window and TCP
+    exemption are defined; these pin each test without an RNG draw."""
+
+    PLATFORM_IP = "10.1.2.3"
+    CLIENT_IP = "172.16.0.9"
+
+    def _injector(self, *rules):
+        clock = SimClock()
+        return FaultInjector(FaultPlan("semantics", rules), clock,
+                             random.Random(0)), clock
+
+    def test_window_is_half_open(self):
+        injector, clock = self._injector(FaultRule(
+            FaultKind.SERVFAIL, window=TimeWindow(40.0, 60.0)))
+        for now, fires in ((0.0, False), (39.999, False), (40.0, True),
+                           (59.999, True), (60.0, False), (75.0, False)):
+            clock.advance_to(now)
+            decision = injector.decide(self.CLIENT_IP, self.PLATFORM_IP)
+            assert (decision is not None) is fires, now
+
+    def test_truncate_never_applies_over_tcp(self):
+        injector, _ = self._injector(
+            FaultRule(FaultKind.TRUNCATE),
+            FaultRule(FaultKind.REFUSED))
+        assert injector.decide(self.CLIENT_IP, self.PLATFORM_IP).kind \
+            is FaultKind.TRUNCATE
+        tcp = injector.decide(self.CLIENT_IP, self.PLATFORM_IP, via_tcp=True)
+        assert tcp.kind is FaultKind.REFUSED and tcp.rule_index == 1
+
+    def test_scopes_pick_the_first_rule_that_admits_both_ends(self):
+        injector, _ = self._injector(
+            FaultRule(FaultKind.DROP_REQUEST, dst_prefix="203.0.113.0/24"),
+            FaultRule(FaultKind.DROP_RESPONSE, dst_prefix=PLATFORM_PREFIX,
+                      src_prefix="192.0.2.0/24"),
+            FaultRule(FaultKind.SERVFAIL, dst_prefix=PLATFORM_PREFIX))
+        assert injector.decide("192.0.2.7", self.PLATFORM_IP).rule_index == 1
+        assert injector.decide(self.CLIENT_IP,
+                               self.PLATFORM_IP).rule_index == 2
+        assert injector.decide(self.CLIENT_IP, "203.0.113.5").rule_index == 0
+        assert injector.decide(self.CLIENT_IP, "198.51.100.1") is None
+        assert set(injector._dst_rules) == {self.PLATFORM_IP, "203.0.113.5",
+                                            "198.51.100.1"}
 
 
 class TestGaveUpIsNeverSilent:

@@ -154,6 +154,76 @@ def test_table_edit_rebinds_the_reader_in_another_file(tmp_path):
         ("CDE007", "hints")]
     assert warm.findings == run_lint([tmp_path / "t"]).findings
 
+def test_method_moved_to_module_scope_unbinds_the_cached_caller(tmp_path):
+    # ``task.read()`` binds only to methods named ``read``.  Moving the
+    # impure method to module scope, while a same-named function lives in
+    # another file, keeps every defined name the same, yet the caller in
+    # the unchanged parallel.py loses its edge and its effect.
+    tree = tmp_path / "t" / "repro" / "study"
+    tree.mkdir(parents=True)
+    (tree / "other.py").write_text(
+        "def read() -> int:\n    return 0\n")
+    worker = tree / "worker.py"
+    worker.write_text(
+        "class Worker:\n"
+        "    def read(self) -> int:\n"
+        "        return len(open(\"hints.txt\").readline())\n")
+    (tree / "parallel.py").write_text(
+        "def run_shard(task: object) -> int:\n"
+        "    return task.read()\n")
+    cache_dir = tmp_path / "cache"
+    cold = run_lint([tmp_path / "t"], cache_dir=cache_dir)
+    assert [f.rule_id for f in cold.findings] == ["CDE007"], cold.findings
+
+    worker.write_text(
+        "class Worker:\n"
+        "    pass\n\n\n"
+        "def read() -> int:\n"
+        "    return len(open(\"hints.txt\").readline())\n")
+    warm = run_lint([tmp_path / "t"], cache_dir=cache_dir)
+    assert [Path(rel).name for rel in warm.reanalyzed_files] == ["worker.py"]
+    cold_dir = tmp_path / "cold"
+    assert warm.findings == run_lint([tmp_path / "t"],
+                                     cache_dir=cold_dir).findings == []
+    # No stale signature survives: run_shard's effect went with its edge.
+    signatures = [
+        json.loads((path / "cache.json").read_text())["effects"]["signatures"]
+        for path in (cache_dir, cold_dir)]
+    assert signatures[0] == signatures[1]
+
+
+def test_deleting_one_of_two_same_named_functions_unbinds_the_caller(
+        tmp_path):
+    # run_shard's bare ``read()`` binds to both defs; deleting the impure
+    # one leaves the name defined, yet run_shard loses that edge.
+    tree = tmp_path / "t" / "repro" / "study"
+    tree.mkdir(parents=True)
+    (tree / "other.py").write_text(
+        "def read() -> int:\n    return 0\n")
+    helpers = tree / "helpers.py"
+    helpers.write_text(
+        "def read() -> int:\n"
+        "    return len(open(\"hints.txt\").readline())\n\n\n"
+        "def keep() -> int:\n    return 1\n")
+    (tree / "parallel.py").write_text(
+        "from .other import read\n\n\n"
+        "def run_shard(task: object) -> int:\n"
+        "    return read()\n")
+    cache_dir = tmp_path / "cache"
+    cold = run_lint([tmp_path / "t"], cache_dir=cache_dir)
+    assert [f.rule_id for f in cold.findings] == ["CDE007"], cold.findings
+
+    helpers.write_text("def keep() -> int:\n    return 1\n")
+    warm = run_lint([tmp_path / "t"], cache_dir=cache_dir)
+    cold_dir = tmp_path / "cold"
+    assert warm.findings == run_lint([tmp_path / "t"],
+                                     cache_dir=cold_dir).findings == []
+    signatures = [
+        json.loads((path / "cache.json").read_text())["effects"]["signatures"]
+        for path in (cache_dir, cold_dir)]
+    assert signatures[0] == signatures[1]
+
+
 def test_corrupt_cache_degrades_to_cold_run(tmp_path):
     tree = make_tree(tmp_path / "t")
     cache_dir = tmp_path / "cache"

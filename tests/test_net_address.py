@@ -1,15 +1,21 @@
 """Tests for IPv4 addresses, prefixes and allocators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import AddressAllocator, AddressPool, Prefix, int_to_ip, ip_to_int
+from repro.net import (
+    AddressAllocator, AddressPool, Prefix, SimClock, int_to_ip, ip_to_int,
+)
 from repro.net import address as address_module
 from repro.net.faults import (
     CLIENT_PREFIX,
     INFRASTRUCTURE_PREFIX,
     PLATFORM_PREFIX,
+    FaultInjector,
     FaultKind,
+    FaultPlan,
     FaultRule,
 )
 
@@ -86,6 +92,12 @@ def _fresh_contains(prefix_text: str, address: str) -> bool:
     return ip_to_int(address) & mask == ip_to_int(base_text)
 
 
+def _injector(rule: FaultRule) -> FaultInjector:
+    """An injector for one certain rule: it fires exactly when in scope."""
+    return FaultInjector(FaultPlan("scope", (rule,)), SimClock(),
+                         random.Random(0))
+
+
 class TestCachedScopeMatching:
     """Fault scopes and resolver ACLs parse each address once, bounded."""
 
@@ -101,26 +113,32 @@ class TestCachedScopeMatching:
         addresses = self.EDGES + tuple(int_to_ip(v) for v in values)
         for text in SCOPES:
             prefix = Prefix.from_text(text)
-            rule = FaultRule(FaultKind.DROP_REQUEST, dst_prefix=text,
-                             src_prefix=text)
+            injector = _injector(FaultRule(
+                FaultKind.DROP_REQUEST, dst_prefix=text, src_prefix=text))
             for address in addresses + addresses:   # cold, then cached
                 expected = _fresh_contains(text, address)
                 assert prefix.contains(address) is expected
-                assert rule.matches(address, address, 0.0, False) is expected
-                assert rule.matches(address, "198.51.100.1", 0.0, False) is \
+                assert (injector.decide(address, address) is not None) \
+                    is expected
+                assert (injector.decide(address, "198.51.100.1")
+                        is not None) is \
+                    (expected and _fresh_contains(text, "198.51.100.1"))
+                assert (injector.decide("198.51.100.1", address)
+                        is not None) is \
                     (expected and _fresh_contains(text, "198.51.100.1"))
 
     @pytest.mark.parametrize("bad", ["1.2.3", "10.0.0.256", "a.b.c.d",
                                      "10.0.0.1.5", ""])
     def test_malformed_address_raises_on_every_call(self, bad):
         prefix = Prefix.from_text(PLATFORM_PREFIX)
-        rule = FaultRule(FaultKind.DROP_REQUEST, dst_prefix=PLATFORM_PREFIX)
+        injector = _injector(
+            FaultRule(FaultKind.DROP_REQUEST, dst_prefix=PLATFORM_PREFIX))
         cached = address_module._address_int.cache_info().currsize
         for _ in range(3):
             with pytest.raises(ValueError):
                 prefix.contains(bad)
             with pytest.raises(ValueError):
-                rule.matches("172.16.0.1", bad, 0.0, False)
+                injector.decide("172.16.0.1", bad)
         assert address_module._address_int.cache_info().currsize <= cached
 
     def test_address_cache_is_bounded(self):
