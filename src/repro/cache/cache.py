@@ -114,11 +114,13 @@ class DnsCache:
 
     def peek(self, name: DnsName, rtype: RRType, now: float) -> Optional[CacheEntry]:
         """Like :meth:`get` but without touching stats or recency."""
-        entry = self._entries.get((name, rtype))
-        if entry is not None and not entry.is_expired(now):
+        entries = self._entries
+        entry = entries.get((name, rtype))
+        if entry is not None and now < entry.expires_at:
             return entry
-        nx = self._entries.get((name, RRType.ANY))
-        if nx is not None and nx.kind == EntryKind.NXDOMAIN and not nx.is_expired(now):
+        nx = entries.get((name, RRType.ANY))
+        if nx is not None and nx.kind is EntryKind.NXDOMAIN and \
+                now < nx.expires_at:
             return nx
         return None
 

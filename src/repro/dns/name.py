@@ -165,7 +165,7 @@ class DnsName:
 
     def _measure_wire_length(self) -> int:
         labels = self._labels
-        return sum(len(lab) for lab in labels) + len(labels) + 1
+        return sum(map(len, labels)) + len(labels) + 1
 
     def __hash__(self) -> int:
         value = self._hash

@@ -140,9 +140,18 @@ class ResourceRecord:
     rdata: Rdata
     rclass: RRClass = RRClass.IN
 
-    def __post_init__(self) -> None:
-        if self.ttl < 0:
-            raise ZoneError(f"negative TTL on {self.name}")
+    # Hand-written, so the dataclass keeps it (and still adds eq and
+    # repr): every cache read and write builds records, and a generated
+    # __init__ plus a __post_init__ check is two calls per record.
+    def __init__(self, name: DnsName, rtype: RRType, ttl: int, rdata: Rdata,
+                 rclass: RRClass = RRClass.IN):
+        if ttl < 0:
+            raise ZoneError(f"negative TTL on {name}")
+        self.name = name
+        self.rtype = rtype
+        self.ttl = ttl
+        self.rdata = rdata
+        self.rclass = rclass
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
         return ResourceRecord(self.name, self.rtype, ttl, self.rdata, self.rclass)
@@ -227,9 +236,16 @@ class RRSet:
 
     @property
     def ttl(self) -> int:
-        if not self.records:
+        # A plain loop: every cache write reads it, and a generator
+        # expression is a call per record.
+        records = self.records
+        if not records:
             return 0
-        return min(record.ttl for record in self.records)
+        ttl = records[0].ttl
+        for record in records:
+            if record.ttl < ttl:
+                ttl = record.ttl
+        return ttl
 
     def with_ttl(self, ttl: int) -> "RRSet":
         # Every cache read and write copies an RRset, so this is a plain
@@ -257,9 +273,10 @@ def group_rrsets(records: Iterable[ResourceRecord]) -> list[RRSet]:
     """Group loose records into RRsets, preserving first-seen order."""
     grouped: dict[tuple[DnsName, RRType, RRClass], RRSet] = {}
     for record in records:
-        rrset = grouped.get(record.key)
+        key = (record.name, record.rtype, record.rclass)
+        rrset = grouped.get(key)
         if rrset is None:
-            rrset = RRSet(record.name, record.rtype, record.rclass)
-            grouped[record.key] = rrset
+            rrset = grouped[key] = RRSet(record.name, record.rtype,
+                                         record.rclass)
         rrset.add(record)
     return list(grouped.values())

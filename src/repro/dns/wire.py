@@ -336,6 +336,11 @@ def _rdata_size_bound(rdata: Rdata) -> int:
     raise WireFormatError(f"cannot size rdata {rdata!r}")
 
 
+#: The exact rdata size of the fixed-size types, looked up by the rdata's
+#: own type before :func:`_rdata_size_bound` is consulted.
+_FIXED_RDATA_SIZE: dict[type, int] = {ARdata: 4, AaaaRdata: 16}
+
+
 def message_size_upper_bound(message: DnsMessage) -> int:
     """A cheap upper bound on :func:`message_wire_size`.
 
@@ -349,10 +354,14 @@ def message_size_upper_bound(message: DnsMessage) -> int:
     size = 12  # header
     if message.question is not None:
         size += message.question.qname.wire_length + 4
+    fixed = _FIXED_RDATA_SIZE
     for section in (message.answers, message.authority, message.additional):
         for record in section:
-            size += record.name.wire_length + 10
-            size += _rdata_size_bound(record.rdata)
+            rdata = record.rdata
+            bound = fixed.get(type(rdata))
+            if bound is None:
+                bound = _rdata_size_bound(rdata)
+            size += record.name.wire_length + 10 + bound
     if message.edns_payload_size is not None:
         size += 11  # root owner + OPT fixed fields
     return size

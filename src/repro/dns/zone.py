@@ -73,7 +73,8 @@ class LookupResult:
 
     @property
     def records(self) -> list[ResourceRecord]:
-        return list(self.rrset) if self.rrset else []
+        rrset = self.rrset
+        return rrset.records[:] if rrset is not None else []
 
 
 class Zone:
@@ -88,6 +89,8 @@ class Zone:
         if isinstance(origin, str):
             origin = make_name(origin)
         self.origin = origin
+        #: Labels in the origin: a lookup walks ``len(qname) - depth`` names.
+        self._origin_depth = len(origin)
         # ``_rrsets`` is the one store of RRSet objects (the engine's fused
         # corridor reads it directly); add_record/remove_rrset keep the two
         # indexes below in step with it.
@@ -177,7 +180,7 @@ class Zone:
     @property
     def soa(self) -> Optional[ResourceRecord]:
         rrset = self._rrsets.get((self.origin, RRType.SOA))
-        if rrset and rrset.records:
+        if rrset is not None and rrset.records:
             return rrset.records[0]
         return None
 
@@ -205,7 +208,7 @@ class Zone:
         rrsets = self._rrsets
         current = qname
         best: Optional[DnsName] = None
-        for _ in range(len(qname) - len(self.origin)):
+        for _ in range(len(qname) - self._origin_depth):
             if (current, RRType.NS) in rrsets:
                 best = current
             current = current.parent
@@ -213,13 +216,13 @@ class Zone:
 
     def _glue_for(self, ns_rrset: RRSet) -> list[ResourceRecord]:
         glue: list[ResourceRecord] = []
-        for record in ns_rrset:
+        for record in ns_rrset.records:
             assert isinstance(record.rdata, NsRdata)
             target = record.rdata.nsdname
             for rtype in (RRType.A, RRType.AAAA):
                 rrset = self._rrsets.get((target, rtype))
-                if rrset:
-                    glue.extend(rrset)
+                if rrset is not None:
+                    glue.extend(rrset.records)
         return glue
 
     # -- lookup -------------------------------------------------------------
@@ -233,7 +236,7 @@ class Zone:
             ns_rrset = self._rrsets[(delegation, RRType.NS)]
             return LookupResult(
                 LookupKind.REFERRAL,
-                authority=list(ns_rrset),
+                authority=ns_rrset.records[:],
                 additional=self._glue_for(ns_rrset),
             )
 
@@ -244,38 +247,41 @@ class Zone:
     def _lookup_at(self, owner: DnsName, qtype: RRType,
                    synthesize_as: Optional[DnsName]) -> Optional[LookupResult]:
         """Positive lookup at ``owner``; records are re-owned to
-        ``synthesize_as`` for wildcard synthesis."""
-        cname = self._rrsets.get((owner, RRType.CNAME))
-        if cname and qtype not in (RRType.CNAME, RRType.ANY):
+        ``synthesize_as`` for wildcard synthesis.  ``None`` when ``owner``
+        does not exist (no RRset at or below it)."""
+        if owner not in self._extant:
+            return None         # every owner is extant, so nothing is here
+        rrsets = self._rrsets
+        cname = rrsets.get((owner, RRType.CNAME))
+        if cname is not None and cname.records and \
+                qtype not in (RRType.CNAME, RRType.ANY):
             return LookupResult(LookupKind.CNAME, rrset=_reown(cname, synthesize_as))
         if qtype == RRType.ANY:
             owned = self._owners.get(owner)
             records = [
-                record for rrset in owned.values() for record in rrset
+                record for rrset in owned.values() for record in rrset.records
             ] if owned else []
             if records:
                 rrset = RRSet(owner, records[0].rtype, records=records)
                 return LookupResult(LookupKind.ANSWER,
                                     rrset=_reown(rrset, synthesize_as))
             return None
-        rrset = self._rrsets.get((owner, qtype))
-        if rrset:
+        rrset = rrsets.get((owner, qtype))
+        if rrset is not None and rrset.records:
             return LookupResult(LookupKind.ANSWER, rrset=_reown(rrset, synthesize_as))
-        if self.name_exists(owner):
-            return LookupResult(LookupKind.NODATA, soa=self.soa)
-        return None
+        return LookupResult(LookupKind.NODATA, soa=self.soa)
 
     def _wildcard_lookup(self, qname: DnsName, qtype: RRType) -> Optional[LookupResult]:
         # Search for a wildcard at each ancestor within the zone, from
         # ``qname``'s parent up to the apex.
         current = qname
         wildcards = self._wildcards
-        for _ in range(len(qname) - len(self.origin)):
+        for _ in range(len(qname) - self._origin_depth):
             current = current.parent
             wildcard = wildcards.get(current)
             if wildcard is not None:
                 result = self._lookup_at(wildcard, qtype, synthesize_as=qname)
-                if result and result.kind in (LookupKind.ANSWER, LookupKind.CNAME):
+                if result is not None and result.kind in (LookupKind.ANSWER, LookupKind.CNAME):
                     return result
                 return LookupResult(LookupKind.NODATA, soa=self.soa)
             if current in self._extant:

@@ -30,6 +30,14 @@ module function is reached by its bare name or through the module's
 import.  A method's ``__init__`` call (``super().__init__()``,
 ``Base.__init__(self)``) binds to the ``__init__`` of its class's bases,
 passing through any base that defines none to that base's own bases.
+
+Value references bind narrower the same way.  A bare name the function
+binds itself — a parameter, or an assignment, loop, ``with``, ``except``
+or comprehension target — holds whatever was put there, which the
+binding of that value already accounts for, so it binds to nothing
+unless it names a nested ``def``.  An attribute value on a receiver that
+does not start from an imported name (``self.step``) binds only to
+methods of that name.
 """
 
 from __future__ import annotations
@@ -68,7 +76,9 @@ from .taint import MUTABLE_CONSTRUCTORS, matches_any
 #: per-module function tables.
 #: Version 12 added per-module class bases, which bind ``__init__`` calls,
 #: and marks method calls (``.name``) apart from plain calls.
-SUMMARY_VERSION = 12
+#: Version 13 drops value references to the function's own locals and
+#: marks attribute value references (``.name``) on non-imported receivers.
+SUMMARY_VERSION = 13
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -281,6 +291,27 @@ def _display_values(node: ast.AST) -> list[Optional[ast.expr]]:
     return []
 
 
+def _own_locals(nodes: list[ast.AST]) -> set[str]:
+    """Names a function binds in its own body (``nodes``): parameters and
+    assignment, loop, ``with``, ``except`` and comprehension targets —
+    minus its nested ``def`` names and ``global``/``nonlocal`` names."""
+    bound: set[str] = set()
+    kept: set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and \
+                not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            kept.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            kept.update(node.names)
+    return bound - kept
+
+
 def _called_and_referenced(func: ast.AST, readable: frozenset[str],
                            imported: frozenset[str]
                            ) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -291,12 +322,16 @@ def _called_and_referenced(func: ast.AST, readable: frozenset[str],
     call arguments, return values and display elements, plus loads of
     ``readable`` names (the file's function tables and its
     ``from``-imported names, any of which may be a table defined
-    elsewhere)."""
+    elsewhere).  A value named by a local of ``func`` is dropped, and an
+    attribute value on a receiver that does not start from an
+    ``imported`` name is keyed ``.name``."""
     from .effects import _walk_own
 
+    nodes = list(_walk_own(func))
+    local = _own_locals(nodes)
     calls: set[str] = set()
-    refs: set[str] = set()
-    for node in _walk_own(func):
+    values: list[Optional[ast.expr]] = []
+    for node in nodes:
         if isinstance(node, ast.Call):
             callee = node.func
             if isinstance(callee, ast.Attribute) and \
@@ -304,15 +339,25 @@ def _called_and_referenced(func: ast.AST, readable: frozenset[str],
                 calls.add("." + callee.attr)
             else:
                 calls.update(_value_names([callee]))
-            refs.update(_value_names(
-                [*node.args, *(kw.value for kw in node.keywords)]))
+            values.extend(node.args)
+            values.extend(kw.value for kw in node.keywords)
         elif isinstance(node, ast.Return):
-            refs.update(_value_names([node.value]))
+            values.append(node.value)
         elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
               and node.id in readable):
-            refs.add(node.id)
+            values.append(node)
         else:
-            refs.update(_value_names(_display_values(node)))
+            values.extend(_display_values(node))
+    refs: set[str] = set()
+    for value in values:
+        if isinstance(value, ast.Starred):
+            value = value.value
+        if isinstance(value, ast.Name):
+            if value.id not in local:
+                refs.add(value.id)
+        elif isinstance(value, ast.Attribute):
+            refs.add(value.attr if _root_name(value) in imported
+                     else "." + value.attr)
     return tuple(sorted(calls)), tuple(sorted(refs))
 
 
@@ -600,8 +645,12 @@ class CallGraph:
                     targets.extend(self._by_name.get(name, ()))
                     targets.extend(self._class_inits.get(name, ()))
             # A value reference binds to functions only: the name itself,
-            # or every name a table of that name lists.
+            # or every name a table of that name lists; ``.name`` (an
+            # attribute of a non-imported receiver) to methods only.
             for name in summary.refs:
+                if name.startswith("."):
+                    targets.extend(self._methods.get(name[1:], ()))
+                    continue
                 for bound in (name, *sorted(self._tables.get(name, ()))):
                     targets.extend(self._by_name.get(bound, ()))
             resolved = tuple(sorted(set(targets)))

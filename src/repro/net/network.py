@@ -333,7 +333,11 @@ class Network:
                 stats.requests_lost += 1
                 clock.advance_to(sent_at + timeout)
                 continue
-            clock.advance(request_latency)
+            # SimClock.advance, inline: both traversals of every attempt
+            # move the clock.
+            if request_latency < 0:
+                raise ValueError(f"cannot advance time by {request_latency}")
+            clock.now += request_latency
 
             if fault is not None and fault.kind in (
                     FaultKind.SERVFAIL, FaultKind.REFUSED):
@@ -372,7 +376,9 @@ class Network:
                 stats.responses_lost += 1
                 clock.advance_to(max(clock.now, sent_at + timeout))
                 continue
-            clock.advance(response_latency)
+            if response_latency < 0:
+                raise ValueError(f"cannot advance time by {response_latency}")
+            clock.now += response_latency
             stats.messages_delivered += 1
             if self.wire_fidelity:
                 response = self._through_wire(response)

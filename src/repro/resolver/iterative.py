@@ -31,6 +31,7 @@ from ..dns.record import CnameRdata, NsRdata, ResourceRecord, RRSet, group_rrset
 from ..dns.rrtype import RCode, RRType
 from ..cache.cache import DnsCache
 from ..cache.entry import EntryKind
+from ..net.clock import SimClock
 from ..net.rng import fallback_rng
 
 MAX_CNAME_DEPTH = 12
@@ -75,34 +76,44 @@ class IterativeResolver:
 
     One engine instance is shared by a platform; per-resolution state (which
     cache to use, how to send) is passed into :meth:`resolve` so the engine
-    itself stays stateless and reusable across caches.
+    itself stays stateless and reusable across caches.  ``clock`` is the
+    virtual clock whose ``now`` stamps every cache read and write (a clock
+    that never moves when omitted).
     """
 
     def __init__(self, root_hint_ips: list[str],
                  rng: Optional[random.Random] = None,
-                 now: Optional[Callable[[], float]] = None):
+                 clock: Optional[SimClock] = None):
         if not root_hint_ips:
             raise ValueError("need at least one root hint")
         self.root_hint_ips = list(root_hint_ips)
         self.rng = rng or fallback_rng("resolver.IterativeResolver")
-        self.now = now or (lambda: 0.0)
+        self.clock = clock or SimClock()
 
     # -- public API ---------------------------------------------------------
 
     def resolve(self, qname: DnsName, qtype: RRType, cache: DnsCache,
                 send: SendUpstream) -> ResolutionResult:
-        """Resolve, using ``cache`` for reads and writes.
+        """Resolve a (qname, qtype) that ``cache`` has just missed.
 
-        Raises :class:`ResolutionError` when every path fails (SERVFAIL).
+        The caller read ``cache`` at (qname, qtype) and (qname, CNAME) at
+        this same virtual instant and found neither, so the first link goes
+        straight to the authorities; CNAME targets later in the chain are
+        read from the cache first.  Every record learned is written to
+        ``cache``.  Raises :class:`ResolutionError` when every path fails
+        (SERVFAIL).
         """
         chain: list[RRSet] = []
         seen_names: set[DnsName] = set()
         current = qname
-        for _ in range(MAX_CNAME_DEPTH):
+        for depth in range(MAX_CNAME_DEPTH):
             if current in seen_names:
                 raise CnameLoopError(f"CNAME loop at {current}")
             seen_names.add(current)
-            step = self._resolve_step(current, qtype, cache, send)
+            if depth:
+                step = self._resolve_step(current, qtype, cache, send)
+            else:
+                step = self._query_authorities(current, qtype, cache, send, 0)
             if step.kind == AnswerKind.ANSWER:
                 assert step.rrset is not None
                 chain.append(step.rrset)
@@ -134,7 +145,7 @@ class IterativeResolver:
 
     def _from_cache(self, qname: DnsName, qtype: RRType,
                     cache: DnsCache) -> Optional[StepResult]:
-        now = self.now()
+        now = self.clock.now
         entry = cache.get(qname, qtype, now)
         if entry is not None:
             if entry.kind == EntryKind.POSITIVE:
@@ -182,8 +193,10 @@ class IterativeResolver:
     def _try_servers(self, qname: DnsName, qtype: RRType, server_ips: list[str],
                      visited: set[str], send: SendUpstream
                      ) -> Optional[DnsMessage]:
-        candidates = [ip for ip in server_ips if ip not in visited]
-        self.rng.shuffle(candidates)
+        candidates = [ip for ip in server_ips if ip not in visited] \
+            if visited else server_ips[:]
+        if len(candidates) > 1:     # shuffling one candidate draws nothing
+            self.rng.shuffle(candidates)
         for server_ip in candidates:
             visited.add(server_ip)
             query = DnsMessage.make_query(
@@ -205,25 +218,32 @@ class IterativeResolver:
                          response: DnsMessage, cache: DnsCache
                          ) -> Optional[StepResult]:
         """Cache everything in the response; ``None`` means it is a referral."""
-        now = self.now()
+        now = self.clock.now
         if response.rcode == RCode.NXDOMAIN:
             soa = next((r for r in response.authority if r.rtype == RRType.SOA), None)
             cache.put_nxdomain(qname, now, soa=soa)
             return StepResult(AnswerKind.NXDOMAIN, soa=soa)
 
-        if response.answers:
-            answer_sets = group_rrsets(response.answers)
+        answers = response.answers
+        if answers:
+            if len(answers) == 1:
+                # What group_rrsets builds for one record, without the
+                # grouping dictionary.
+                record = answers[0]
+                answer_sets = [RRSet(record.name, record.rtype, record.rclass,
+                                     [record])]
+            else:
+                answer_sets = group_rrsets(answers)
+            direct = alias = None
             for rrset in answer_sets:
                 cache.put_rrset(rrset, now)
-            direct = next(
-                (rrset for rrset in answer_sets
-                 if rrset.name == qname and
-                 (rrset.rtype == qtype or qtype == RRType.ANY)), None)
+                if direct is None and rrset.name == qname:
+                    if rrset.rtype == qtype or qtype == RRType.ANY:
+                        direct = rrset
+                    elif alias is None and rrset.rtype == RRType.CNAME:
+                        alias = rrset
             if direct is not None:
                 return StepResult(AnswerKind.ANSWER, rrset=direct)
-            alias = next(
-                (rrset for rrset in answer_sets
-                 if rrset.name == qname and rrset.rtype == RRType.CNAME), None)
             if alias is not None:
                 return StepResult(AnswerKind.CNAME, rrset=alias)
             # Answer section without our name — treat as NODATA.
@@ -282,20 +302,24 @@ class IterativeResolver:
     def _closest_known_authority(self, qname: DnsName, cache: DnsCache
                                  ) -> tuple[DnsName, list[str]]:
         """Deepest zone with a cached NS set whose servers we can address."""
-        now = self.now()
-        for zone in qname.ancestors(include_self=True):
+        now = self.clock.now
+        zone = qname
+        # qname itself, then each ancestor up to and including the root.
+        for _ in range(len(qname) + 1):
             entry = cache.get(zone, RRType.NS, now)
-            if entry is None or entry.kind != EntryKind.POSITIVE:
-                continue
-            ips: list[str] = []
-            assert entry.rrset is not None
-            for record in entry.rrset:
-                assert isinstance(record.rdata, NsRdata)
-                address_entry = cache.get(record.rdata.nsdname, RRType.A, now)
-                if address_entry is not None and \
-                        address_entry.kind == EntryKind.POSITIVE:
-                    assert address_entry.rrset is not None
-                    ips.extend(r.rdata.address for r in address_entry.rrset)  # type: ignore[attr-defined]
-            if ips:
-                return zone, ips
+            if entry is not None and entry.kind is EntryKind.POSITIVE:
+                ips: list[str] = []
+                assert entry.rrset is not None
+                for record in entry.rrset.records:
+                    assert isinstance(record.rdata, NsRdata)
+                    address_entry = cache.get(record.rdata.nsdname, RRType.A,
+                                              now)
+                    if address_entry is not None and \
+                            address_entry.kind is EntryKind.POSITIVE:
+                        assert address_entry.rrset is not None
+                        for address in address_entry.rrset.records:
+                            ips.append(address.rdata.address)  # type: ignore[attr-defined]
+                if ips:
+                    return zone, ips
+            zone = zone.parent
         return ROOT, list(self.root_hint_ips)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial
+from typing import Callable, Optional
 
 from ..cache.cache import DnsCache
 from ..cache.entry import CacheEntry, EntryKind
@@ -37,7 +37,7 @@ from ..dns.rrtype import RCode, RRType
 from ..net.address import Prefix
 from ..net.network import LinkProfile, Network
 from ..net.rng import fallback_rng
-from .iterative import IterativeResolver, ResolutionResult
+from .iterative import IterativeResolver, ResolutionResult, SendUpstream
 from .selection import (
     CacheSelector,
     EgressSelector,
@@ -123,10 +123,11 @@ class ResolutionPlatform:
             config.egress_selector or RandomEgressSelector(self.rng)
         )
         self.caches = self._build_caches(config)
-        self.engine = IterativeResolver(
-            root_hint_ips, rng=self.rng, now=lambda: network.clock.now
-        )
+        self.engine = IterativeResolver(root_hint_ips, rng=self.rng,
+                                        clock=network.clock)
         self.stats = PlatformStats()
+        #: How each cache reaches upstream servers, built at its first miss.
+        self._senders: dict[DnsCache, SendUpstream] = {}
         self._sequence = 0
         #: caches listed here are "down" — resilience experiments (§II-B).
         self._offline_caches: set[int] = set()
@@ -220,8 +221,9 @@ class ResolutionPlatform:
         if cache is None:
             self.stats.failures += 1
             return query.make_response(RCode.SERVFAIL)
-        # Intra-platform hop: negligible but nonzero.
-        self.network.clock.advance(0.0002)
+        # Intra-platform hop: negligible but nonzero (SimClock.advance of
+        # a positive constant, inline).
+        self.network.clock.now += 0.0002
         try:
             chain, rcode = self._answer_from(cache, qname, qtype)
         except ResolutionError:
@@ -234,8 +236,9 @@ class ResolutionPlatform:
         response.edns_payload_size = (
             self.config.edns_payload_size
             if query.edns_payload_size is not None else None)
+        answers = response.answers
         for rrset in chain:
-            response.add_answer(rrset)
+            answers.extend(rrset.records)
         if self.config.frontend_dedup_window > 0:
             self._frontend_store(query, response)
         return maybe_truncate(query, response, self.config.edns_payload_size)
@@ -366,28 +369,38 @@ class ResolutionPlatform:
 
     def _resolve_upstream(self, cache: DnsCache, qname: DnsName,
                           qtype: RRType) -> ResolutionResult:
+        """Resolve (qname, qtype), which ``cache`` has just missed."""
+        send = self._senders.get(cache)
+        if send is None:
+            send = self._senders[cache] = self._sender(cache)
+        return self.engine.resolve(qname, qtype, cache, send)
+
+    def _sender(self, cache: DnsCache) -> SendUpstream:
+        """The upstream send of ``cache``: one egress address drawn per
+        send, then one network transaction from it."""
         egress_ips = self.config.egress_ips
-        n_egress = len(egress_ips)
         query = self.network.query
         stats = self.stats
         select_for_cache = getattr(self.egress_selector, "select_for_cache",
                                    None)
+        select: Callable[[str, int], int]
         if select_for_cache is None:
             select = self.egress_selector.select
         else:
             cache_index = next(
                 (i for i, c in enumerate(self.caches) if c is cache), 0)
-
-            def select(server_ip: str, n_egress: int) -> int:
-                return select_for_cache(cache_index, server_ip, n_egress)
+            select = partial(select_for_cache, cache_index)
 
         def send(server_ip: str, message: DnsMessage) -> DnsMessage:
-            transaction = query(egress_ips[select(server_ip, n_egress)],
-                                server_ip, message)
+            # The pool is sized per send: addresses can leave it while the
+            # platform runs.
+            transaction = query(
+                egress_ips[select(server_ip, len(egress_ips))],
+                server_ip, message)
             stats.upstream_queries += 1
             return transaction.response
 
-        return self.engine.resolve(qname, qtype, cache, send)
+        return send
 
     def __repr__(self) -> str:
         return (f"ResolutionPlatform({self.config.name!r}, "

@@ -32,7 +32,7 @@
   at run time: ``TestFusedCorridorEquivalence`` in
   ``tests/test_study_parallel.py`` runs hypothesis-drawn shards with the
   fast plan on and off and compares every counter, cache entry, RNG
-  stream, log entry and built cache-entry layout.
+  stream and log entry.
 
 The fast path rests on one structural fact the engine controls: corridor
 probe names come from ``cde.unique_name``/``unique_names`` *immediately*
@@ -110,12 +110,6 @@ _ColdLevel = tuple[AuthoritativeServer, DnsName, LinkParams,
 #: rrset count).  Any mismatch forces a re-capture before the next replay.
 _ColdToken = tuple[AuthoritativeServer, Zone, int, int]
 
-#: The corridor builds its ``CacheEntry`` as ``object.__new__`` plus a
-#: ``__dict__`` literal in field order: measurably cheaper than the
-#: dataclass ``__init__`` and its ``__post_init__``.  Every other object
-#: it builds calls the real constructor.  ``TestFusedCorridorEquivalence``
-#: checks each entry so built against the dataclass's fields.
-_obj_new = object.__new__
 _POSITIVE = EntryKind.POSITIVE
 
 
@@ -352,9 +346,10 @@ class _FastPlan:
         self.a_key: Optional[tuple[DnsName, RRType]] = None
         self.corridor: list[Optional[_CorridorMemo]] = [None] * self.n_caches
         self.cold = cold
-        # A cold cache misses _from_cache twice, then once per ancestor in
-        # the authority walk; corridor names all have the same depth.
-        self.cold_walk_misses: int = 2 + sum(
+        # A cold cache misses once per ancestor in the authority walk (the
+        # resolver's first link skips _from_cache: _answer_from just
+        # missed); corridor names all have the same depth.
+        self.cold_walk_misses: int = sum(
             1 for _ in self.base_domain.prepend("x").ancestors(
                 include_self=True))
 
@@ -596,13 +591,14 @@ def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
                 and zone._rrsets.get(template[0]) is template[1]
                 and len(template[1].records) == template[2]):
             # The warm corridor: replay the exact stat/recency mutations
-            # of _from_cache (two misses at the fresh name),
-            # _closest_known_authority (miss at the name's own NS key,
-            # then hits on the memoized (base, NS) and (ns, A) entries)
-            # and the answer put — without the dictionary walks, zone
-            # lookup or intermediate RRSet copies.
+            # of _closest_known_authority (miss at the name's own NS key,
+            # then hits on the memoized (base, NS) and (ns, A) entries;
+            # the resolver's first link skips _from_cache, which
+            # _answer_from's misses already answered) and the answer put
+            # — without the dictionary walks, zone lookup or intermediate
+            # RRSet copies.
             cstats = cache.stats
-            cstats.misses += 3
+            cstats.misses += 1
             ns_entry.hits += 1
             ns_entry.last_used = now
             a_entry.hits += 1
@@ -636,8 +632,9 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
                          template: _Template) -> bool:
     """Replay the captured referral chain into an empty cache.
 
-    Every cache lookup on an empty cache is a miss, so the _from_cache and
-    authority-walk gets collapse to one counter bump; the per-hop
+    Every cache lookup on an empty cache is a miss, so the authority-walk
+    gets collapse to one counter bump (the resolver's first link reads no
+    cache: _from_cache is skipped after _answer_from's misses); the per-hop
     exchanges and referral-RRset puts then replay the real iterative
     descent exactly (glue answers every hop, so no intermediate cache
     reads happen).  Finishing warms the corridor memo directly, so the
@@ -749,8 +746,7 @@ def _put_positive(cache: DnsCache, name: DnsName, rtype: RRType,
                   rclass: RRClass, records: Sequence[ResourceRecord],
                   owner: Optional[DnsName], ttl: int, now: float) -> None:
     """``put_rrset`` without the source RRSet: clamp the TTL, re-own the
-    records at the clamped TTL and insert the positive entry (built by
-    ``__dict__``).
+    records at the clamped TTL and insert the positive entry.
 
     ``owner`` renames every record (``None`` keeps each record's own
     name).  The TTL window that ``DnsCache`` and ``PlatformConfig`` both
@@ -763,12 +759,8 @@ def _put_positive(cache: DnsCache, name: DnsName, rtype: RRType,
         owned.append(ResourceRecord(record.name if owner is None else owner,
                                     record.rtype, clamped, record.rdata,
                                     record.rclass))
-    entry = _obj_new(CacheEntry)
-    entry.__dict__ = {"name": name, "rtype": rtype, "kind": _POSITIVE,
-                      "stored_at": now, "expires_at": now + clamped,
-                      "rrset": RRSet(name, rtype, rclass, owned), "soa": None,
-                      "hits": 0, "last_used": now}
-    cache._insert(entry, now)
+    cache._insert(CacheEntry(name, rtype, _POSITIVE, now, now + clamped,
+                             RRSet(name, rtype, rclass, owned)), now)
 
 
 class ShardLane:

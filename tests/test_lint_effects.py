@@ -373,6 +373,41 @@ def test_method_calls_bind_to_methods_not_module_functions(tmp_path):
     assert "helper.py::register" in graph.callees("m.py::on_module")
 
 
+def test_value_references_to_locals_bind_nothing(tmp_path):
+    helper = "def step():\n    pass\n"
+    source = ("import helper\n"
+              "from helper import step as imported_step\n\n\n"
+              "class Lane:\n"
+              "    def step(self):\n        pass\n\n\n"
+              "def step():\n    pass\n\n\n"
+              "def local_value(response):\n"
+              "    step = response.ingest()\n    return step\n\n\n"
+              "def parameter(step):\n    return step\n\n\n"
+              "def loop_target(items):\n"
+              "    return [step for step in items]\n\n\n"
+              "def nested():\n"
+              "    def step():\n        pass\n    return step\n\n\n"
+              "def free_name():\n    return step\n\n\n"
+              "def on_receiver(lane):\n    return lane.step\n\n\n"
+              "def on_module():\n    return helper.step\n")
+    summaries = []
+    for name, text in (("helper.py", helper), ("m.py", source)):
+        path = tmp_path / name
+        path.write_text(text)
+        summaries.append(summarize_module(_parse(path, name, text)))
+    graph = CallGraph(summaries)
+    # A local holds whatever was put there: it names no function.
+    for func in ("local_value", "parameter", "loop_target"):
+        assert graph.callees(f"m.py::{func}") == (), func
+    # A nested def and a free name still bind by name.
+    assert "m.py::nested.step" in graph.callees("m.py::nested")
+    assert "m.py::step" in graph.callees("m.py::free_name")
+    # An attribute of a non-imported receiver can only be a method ...
+    assert graph.callees("m.py::on_receiver") == ("m.py::Lane.step",)
+    # ... and one of an imported module may be a module function.
+    assert "helper.py::step" in graph.callees("m.py::on_module")
+
+
 def test_planted_env_read_chain_stays_out_of_the_linter(tmp_path):
     """An ``os.environ.get`` planted in the fused corridor is reported
     with a chain through measurement code only: ``super().__init__()``
@@ -393,6 +428,11 @@ def test_planted_env_read_chain_stays_out_of_the_linter(tmp_path):
     planted = [f for f in report.findings if f.symbol == "_fused_probe"]
     assert planted, report.findings
     assert all("_fused_probe" in f.message for f in planted)
+    # Only the shard graph reaches the corridor (CDE004); no chain runs
+    # through the resolver's local ``step`` into ShardLane.step.
+    assert {f.rule_id for f in planted} == {"CDE004"}
+    assert not [f for f in planted
+                if "_query_authorities -> ShardLane.step" in f.message]
     assert not [f for f in report.findings
                 if "_Scanner" in f.message or "/repro/lint/" in f.path]
     graph_reach = CallGraph(

@@ -384,6 +384,19 @@ def test_shard_entries_reach_both_probe_paths(src_graph):
         assert [key for key in targets if key not in reached] == []
 
 
+def test_structured_probe_path_does_not_reach_the_lane(src_graph):
+    # _query_authorities returns a local named ``step``; it is no edge to
+    # ShardLane.step, so the structured prober's effect root does not
+    # reach the lane or its fused corridor.
+    root = src_graph.resolve_entry(
+        "repro/core/prober.py::DirectProber._query_resilient")
+    reached = src_graph.reachable_with_chains(root)
+    assert "src/repro/resolver/iterative.py::IterativeResolver.resolve" \
+        in reached
+    assert not [key for key in reached
+                if key.endswith(("::ShardLane.step", "::_fused_probe"))]
+
+
 #: The hand-kept lists from before value references became call-graph
 #: edges: callbacks and table entries had to be listed as roots of their
 #: own.  Each still resolves, and the graph only gained edges since, so

@@ -229,3 +229,65 @@ class TestIterativeEngine:
         hosted = world.add_platform(n_ingress=1, n_caches=4, n_egress=1,
                                     selector="round-robin")
         assert isinstance(hosted.platform.cache_selector, RoundRobinSelector)
+
+
+class TestSingleCacheWalk:
+    """A miss reads the cache once: the platform's chain walk misses at
+    (name, qtype) and (name, CNAME), and the resolver's first link goes
+    straight to the authorities instead of reading both keys again."""
+
+    def warm_platform(self, world):
+        hosted = world.add_platform(n_ingress=1, n_caches=1, n_egress=1)
+        # The first query caches the delegation down to the CDE zone.
+        ask(world, hosted.platform.ingress_ips[0], "warm.cache.example")
+        return hosted
+
+    def counters(self, hosted):
+        cache = hosted.platform.caches[0]
+        return (cache.stats.misses, cache.stats.hits,
+                hosted.platform.stats.upstream_queries)
+
+    def test_fresh_name_under_a_warm_delegation(self, world):
+        hosted = self.warm_platform(world)
+        ingress = hosted.platform.ingress_ips[0]
+        for index in range(4):
+            before = self.counters(hosted)
+            response = ask(world, ingress, f"fresh-{index}.cache.example")
+            assert response.rcode == RCode.NOERROR and response.answers
+            misses, hits, upstream = (
+                after - was for after, was
+                in zip(self.counters(hosted), before))
+            # Two chain-walk misses, then the authority walk's miss at the
+            # name's own NS key and hits on the (base, NS), (ns, A) pair.
+            assert (misses, hits, upstream) == (3, 2, 1)
+
+    def test_cached_cname_target_is_read_from_the_cache(self, world):
+        hosted = self.warm_platform(world)
+        ingress = hosted.platform.ingress_ips[0]
+        chain = world.cde.setup_cname_chain(1)
+        ask(world, ingress, str(chain.target))
+        before = self.counters(hosted)
+        response = ask(world, ingress, str(chain.aliases[0]))
+        assert [record.rtype for record in response.answers] == [
+            RRType.CNAME, RRType.A]
+        misses, hits, upstream = (
+            after - was for after, was in zip(self.counters(hosted), before))
+        # Only the alias goes upstream: the target after it is a hit.
+        assert (misses, hits, upstream) == (3, 3, 1)
+
+    def test_prefetch_serves_the_hit_and_refreshes_once(self, world):
+        hosted = self.warm_platform(world)
+        hosted.platform.config.prefetch_horizon = 60.0
+        ingress = hosted.platform.ingress_ips[0]
+        probe = world.cde.unique_name("pf")
+        world.cde.add_a_record(probe, ttl=100)
+        ask(world, ingress, str(probe))
+        world.clock.advance(50)
+        before = self.counters(hosted)
+        response = ask(world, ingress, str(probe))
+        assert response.answers[0].ttl <= 50
+        misses, hits, upstream = (
+            after - was for after, was in zip(self.counters(hosted), before))
+        # The served hit, then the refresh's authority walk.
+        assert (misses, hits, upstream) == (1, 3, 1)
+        assert hosted.platform.stats.prefetches == 1

@@ -21,7 +21,7 @@ from repro.study import ShardLane, WorldConfig, plan_shards
 from repro.study.census import iter_specs
 
 #: Python ``call`` events per probe of the lane below, on CPython 3.11.
-CALLS_PER_PROBE = 187.4
+CALLS_PER_PROBE = 139.0
 #: Headroom before the guard fails.
 SLACK = 1.05
 

@@ -11,12 +11,11 @@ produce identical rows.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cache.entry import CacheEntry
 from repro.core import infrastructure
 from repro.core.infrastructure import PROBE_TTL
 from repro.net.latency import ConstantLatency, LogNormalLatency
@@ -349,13 +348,6 @@ _TTL_EXPIRY = CorridorShape(
     prober=_STEADY, ingress=_STEADY, egress=_STEADY, server=_STEADY,
     wildcard_ttl=1, ns_ttl=2)
 
-#: The corridor builds its ``CacheEntry`` as ``object.__new__`` plus a
-#: ``__dict__`` literal, skipping the dataclass ``__init__``.  This test is
-#: the only guard on that literal: each built entry's ``vars()`` must
-#: follow the dataclass's field order.
-_LAYOUT_CLASSES = (CacheEntry,)
-
-
 def _rng_state(value):
     return value.getstate() if isinstance(value, random.Random) else value
 
@@ -387,8 +379,8 @@ def _retire_state(world, hosted):
 def _corridor_run(shape, selector, fused):
     """Run one shard of ``shape`` with the fast plan on or off.
 
-    Returns the per-retirement states, the end state, the lane (for its
-    probe counters) and every object the corridor built by ``__dict__``.
+    Returns the per-retirement states, the end state and the lane (for
+    its probe counters).
     A run whose estimator rejects its counts (a re-fetch after a TTL
     expiry can push arrivals past the probes sent) ends there: the error
     and the in-flight platform's state join the comparison, so both paths
@@ -403,7 +395,6 @@ def _corridor_run(shape, selector, fused):
     task = plan_shards(specs, base_seed=SEED, n_shards=1,
                        budget=FAST_BUDGET)[0]
     retired = []
-    built = []
     add_platform = SimulatedInternet.add_platform_from_spec
     retire = SimulatedInternet.retire_platform
 
@@ -424,11 +415,6 @@ def _corridor_run(shape, selector, fused):
         retired.append(_retire_state(world, hosted))
         retire(world, hosted)
 
-    def recording_new(cls):
-        instance = object.__new__(cls)
-        built.append(instance)
-        return instance
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(infrastructure, "PROBE_TTL", shape.wildcard_ttl)
         patch.setattr(hierarchy, "DELEGATION_TTL", shape.ns_ttl)
@@ -436,7 +422,6 @@ def _corridor_run(shape, selector, fused):
                       shaped_platform)
         patch.setattr(SimulatedInternet, "retire_platform",
                       snapshot_and_retire)
-        patch.setattr(engine, "_obj_new", recording_new)
         if not fused:
             patch.setattr(engine._FastPlan, "build",
                           staticmethod(lambda *args, **kwargs: None))
@@ -466,7 +451,7 @@ def _corridor_run(shape, selector, fused):
         "network_rng": network._rng.getstate(),
         "prober_rng": world.prober.rng.getstate(),
     }
-    return retired, end, lane, built
+    return retired, end, lane
 
 
 class TestFusedCorridorEquivalence:
@@ -479,8 +464,7 @@ class TestFusedCorridorEquivalence:
     and TTLs, both runs must leave the same cache counters and entries,
     platform and selector state, RNG streams and server logs at every
     retirement, and the same rows, network counters, clock and RNG
-    positions at the end.  Every cache entry the corridor built by
-    ``__dict__`` must carry its dataclass's field order.
+    positions at the end.
     """
 
     @pytest.mark.parametrize("selector", [name for name, _ in SELECTOR_MIX])
@@ -490,9 +474,9 @@ class TestFusedCorridorEquivalence:
     @example(shape=_TTL_EXPIRY)
     @given(shape=_SHAPES)
     def test_fused_matches_structured(self, selector, shape):
-        fused, fused_end, fused_perf, built = _corridor_run(
+        fused, fused_end, fused_perf = _corridor_run(
             shape, selector, fused=True)
-        structured, structured_end, structured_perf, _ = _corridor_run(
+        structured, structured_end, structured_perf = _corridor_run(
             shape, selector, fused=False)
         assert fused_perf.fused_probes > 0
         assert fused_perf.fallback_probes == 0
@@ -503,11 +487,6 @@ class TestFusedCorridorEquivalence:
                 assert mine[key] == theirs[key], (index, key)
         for key in fused_end:
             assert fused_end[key] == structured_end[key], key
-        assert built
-        for instance in built:
-            assert isinstance(instance, _LAYOUT_CLASSES)
-            assert list(vars(instance)) == [
-                field.name for field in fields(type(instance))], instance
 
 
 class TestWarmMemoAfterRealUpstream:
@@ -531,6 +510,6 @@ class TestWarmMemoAfterRealUpstream:
             return resolve_upstream(platform, cache, qname, qtype)
 
         monkeypatch.setattr(ResolutionPlatform, "_resolve_upstream", counted)
-        _, _, lane, _ = _corridor_run(_TTL_EXPIRY, selector, fused=True)
+        _, _, lane = _corridor_run(_TTL_EXPIRY, selector, fused=True)
         assert lane.fallback_probes == 0
         assert len(calls) == real_upstreams
