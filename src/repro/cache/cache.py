@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..dns.name import DnsName
-from ..dns.record import ResourceRecord, RRSet
+from ..dns.record import ResourceRecord, RRSet, SoaRdata
 from ..dns.rrtype import RRType
 from ..net.rng import fallback_rng
 from .entry import CacheEntry, EntryKind
@@ -73,6 +73,9 @@ class DnsCache:
         #: skip the O(n) purge scan.  Removals only raise the true minimum,
         #: so the bound stays valid without maintenance.
         self._next_expiry = float("inf")
+        #: False while no NXDOMAIN entry has been stored since the last
+        #: flush, so a miss need not read the name's ``(name, ANY)`` key.
+        self._may_hold_nxdomain = False
 
     # -- TTL handling -----------------------------------------------------
 
@@ -95,7 +98,8 @@ class DnsCache:
                 del entries[(name, rtype)]
                 self.stats.expirations += 1
             # NXDOMAIN covers every qtype at the name.
-            nx = entries.get((name, RRType.ANY))
+            nx = entries.get((name, RRType.ANY)) \
+                if self._may_hold_nxdomain else None
             if nx is not None and nx.kind is EntryKind.NXDOMAIN:
                 if now >= nx.expires_at:
                     del entries[(name, RRType.ANY)]
@@ -118,7 +122,8 @@ class DnsCache:
         entry = entries.get((name, rtype))
         if entry is not None and now < entry.expires_at:
             return entry
-        nx = entries.get((name, RRType.ANY))
+        nx = entries.get((name, RRType.ANY)) \
+            if self._may_hold_nxdomain else None
         if nx is not None and nx.kind is EntryKind.NXDOMAIN and \
                 now < nx.expires_at:
             return nx
@@ -130,7 +135,8 @@ class DnsCache:
     # -- insertion -------------------------------------------------------------
 
     def put_rrset(self, rrset: RRSet, now: float) -> CacheEntry:
-        ttl = self.clamp_ttl(rrset.ttl)
+        # clamp_ttl, inline: every positive answer is stored through here.
+        ttl = min(max(rrset.ttl, self.min_ttl), self.max_ttl)
         entry = CacheEntry(
             name=rrset.name,
             rtype=rrset.rtype,
@@ -145,6 +151,7 @@ class DnsCache:
     def put_nxdomain(self, name: DnsName, now: float,
                      soa: Optional[ResourceRecord] = None) -> CacheEntry:
         ttl = self._negative_ttl(soa)
+        self._may_hold_nxdomain = True
         entry = CacheEntry(
             name=name,
             rtype=RRType.ANY,  # an NXDOMAIN denies every type at the name
@@ -172,20 +179,19 @@ class DnsCache:
 
     def _negative_ttl(self, soa: Optional[ResourceRecord]) -> int:
         if soa is not None:
-            from ..dns.record import SoaRdata
-
             assert isinstance(soa.rdata, SoaRdata)
-            ttl = min(soa.ttl, soa.rdata.minimum)
+            ttl = min(soa.ttl, soa.rdata.minimum, self.negative_ttl_cap)
         else:
             ttl = self.negative_ttl_cap
-        return self.clamp_ttl(min(ttl, self.negative_ttl_cap))
+        # clamp_ttl, inline: every negative answer is stored through here.
+        return min(max(ttl, self.min_ttl), self.max_ttl)
 
     def _insert(self, entry: CacheEntry, now: float) -> None:
         if now >= self._next_expiry:
             self._purge_expired(now)
         entries = self._entries
         key = (entry.name, entry.rtype)
-        if key not in entries and len(entries) >= self.capacity:
+        if len(entries) >= self.capacity and key not in entries:
             victim = self.policy.choose_victim(entries.values(), self.rng)
             if victim is not None:
                 del entries[victim]
@@ -209,6 +215,7 @@ class DnsCache:
     def flush(self) -> None:
         self._entries.clear()
         self._next_expiry = float("inf")
+        self._may_hold_nxdomain = False
 
     def remove(self, name: DnsName, rtype: RRType) -> None:
         self._entries.pop((name, rtype), None)

@@ -103,7 +103,7 @@ class SmtpServer:
         the sender domain, which is how the CDE smuggles probe names into
         the enterprise's resolution platform.
         """
-        sender_domain = make_name(mail_from.rsplit("@", 1)[-1])
+        sender_domain = DnsName.from_text(mail_from.rpartition("@")[2])
         local_part = rcpt_to.rsplit("@", 1)[0]
         attempt = DeliveryAttempt(mail_from=mail_from, rcpt_to=rcpt_to,
                                   bounced=local_part not in self.mailboxes)

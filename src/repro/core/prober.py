@@ -240,10 +240,11 @@ class SmtpProber:
 
     def trigger(self, names: list[DnsName]) -> int:
         emitted = 0
+        rcpt_to = f"{self.rcpt_localpart}@{self.smtp_server.domain}"
         for probe_name in names:
             attempt = self.smtp_server.receive_message(
                 mail_from=f"{self.sender_localpart}@{probe_name}",
-                rcpt_to=f"{self.rcpt_localpart}@{self.smtp_server.domain}",
+                rcpt_to=rcpt_to,
             )
             self.messages_sent += 1
             if attempt.lookups:

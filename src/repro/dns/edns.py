@@ -44,11 +44,15 @@ def maybe_truncate(query: DnsMessage, response: DnsMessage,
     """
     if query.via_tcp:
         return response
-    limit = effective_payload_limit(query, responder_max)
     # The uncompressed upper bound is a superset of the encoded size, so a
     # bound that already fits proves the response fits without encoding it
-    # (the common case: minimal responses are far below 512 bytes).
-    if message_size_upper_bound(response) <= limit:
+    # (the common case: minimal responses are far below 512 bytes).  No
+    # limit is below 512, so a bound within it needs no limit at all.
+    bound = message_size_upper_bound(response)
+    if bound <= CLASSIC_UDP_LIMIT:
+        return response
+    limit = effective_payload_limit(query, responder_max)
+    if bound <= limit:
         return response
     if message_wire_size(response) <= limit:
         return response

@@ -116,13 +116,15 @@ class DnsMessage:
 
     def is_referral(self) -> bool:
         """A NOERROR response with no answers but NS records in authority."""
-        return (
-            self.is_response
-            and self.rcode == RCode.NOERROR
-            and not self.answers
-            and any(record.rtype == RRType.NS for record in self.authority)
-            and not self.authoritative
-        )
+        if not self.is_response or self.rcode != RCode.NOERROR \
+                or self.answers or self.authoritative:
+            return False
+        # A loop, not any() over a generator: every response ingested by
+        # the iterative resolver asks.
+        for record in self.authority:
+            if record.rtype == RRType.NS:
+                return True
+        return False
 
     def is_nxdomain(self) -> bool:
         return self.is_response and self.rcode == RCode.NXDOMAIN

@@ -68,8 +68,11 @@ class DnsName:
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
         for label in labels:
-            _validate_label(label)
-        text_len = sum(len(lab) for lab in labels) + max(len(labels) - 1, 0)
+            # _validate_label's three rules, tested inline so that a valid
+            # label costs no call; an invalid one raises from there.
+            if not label or len(label) > MAX_LABEL_LENGTH or "." in label:
+                _validate_label(label)
+        text_len = sum(map(len, labels)) + max(len(labels) - 1, 0)
         if text_len > MAX_NAME_LENGTH:
             raise NameError_(f"name too long ({text_len} > {MAX_NAME_LENGTH})")
         self._labels = labels
@@ -139,7 +142,7 @@ class DnsName:
         linked parent that has not folded yet)."""
         folded = self._folded
         if folded is None:
-            folded = tuple(lab.lower() for lab in self._labels)
+            folded = tuple(map(str.lower, self._labels))
             self._folded = folded
             parent = self._parent
             if parent is not None and parent._folded is None:
@@ -170,7 +173,9 @@ class DnsName:
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = self._hash = hash(self.folded)
+            folded = self._folded
+            value = self._hash = hash(
+                self.folded if folded is None else folded)
         return value
 
     def __eq__(self, other: object) -> bool:
@@ -225,13 +230,20 @@ class DnsName:
                 labels[1:], folded[1:] if folded is not None else None)
         return parent
 
-    def ancestors(self, include_self: bool = False) -> Iterator["DnsName"]:
-        """Yield ancestors from closest to the root (the root included)."""
+    def ancestors(self, include_self: bool = False) -> tuple["DnsName", ...]:
+        """Ancestors from closest to the root (the root included).
+
+        A tuple built by one walk rather than a generator, whose every
+        step is a call: zones and query logs walk a probe name's
+        ancestors on each record they add."""
+        found: list[DnsName] = []
         current = self if include_self else self.parent
         while current._labels:
-            yield current
-            current = current.parent
-        yield current
+            found.append(current)
+            parent = current._parent
+            current = current.parent if parent is None else parent
+        found.append(current)
+        return tuple(found)
 
     def is_subdomain_of(self, other: "DnsName") -> bool:
         """True when ``self`` equals ``other`` or sits below it."""
@@ -264,9 +276,10 @@ class DnsName:
         """Return a new name with ``labels`` added on the left, linked to
         ``self`` through its ancestors."""
         for label in labels:
-            _validate_label(label)
-        combined = tuple(labels) + self._labels
-        text_len = sum(len(lab) for lab in combined) + max(len(combined) - 1, 0)
+            if not label or len(label) > MAX_LABEL_LENGTH or "." in label:
+                _validate_label(label)
+        combined = labels + self._labels
+        text_len = sum(map(len, combined)) + max(len(combined) - 1, 0)
         if text_len > MAX_NAME_LENGTH:
             raise NameError_(f"name too long ({text_len} > {MAX_NAME_LENGTH})")
         result = self
@@ -276,7 +289,7 @@ class DnsName:
 
     def concatenate(self, suffix: "DnsName") -> "DnsName":
         combined = self._labels + suffix._labels
-        text_len = sum(len(lab) for lab in combined) + max(len(combined) - 1, 0)
+        text_len = sum(map(len, combined)) + max(len(combined) - 1, 0)
         if text_len > MAX_NAME_LENGTH:
             raise NameError_(f"name too long ({text_len} > {MAX_NAME_LENGTH})")
         own, theirs = self._folded, suffix._folded

@@ -314,6 +314,13 @@ def message_wire_size(message: DnsMessage) -> int:
 
 
 def _rdata_size_bound(rdata: Rdata) -> int:
+    # SOA first, its names' sizes read from their caches once set: every
+    # negative answer carries one.
+    if isinstance(rdata, SoaRdata):
+        mname, rname = rdata.mname._wire_length, rdata.rname._wire_length
+        if mname is None or rname is None:
+            return rdata.mname.wire_length + rdata.rname.wire_length + 20
+        return mname + rname + 20
     if isinstance(rdata, ARdata):
         return 4
     if isinstance(rdata, AaaaRdata):
@@ -327,8 +334,6 @@ def _rdata_size_bound(rdata: Rdata) -> int:
     if isinstance(rdata, TxtRdata):
         # UTF-8 expands at most 4x over the character count.
         return sum(4 * len(string) + 1 for string in rdata.strings)
-    if isinstance(rdata, SoaRdata):
-        return rdata.mname.wire_length + rdata.rname.wire_length + 20
     if isinstance(rdata, SrvRdata):
         return 6 + rdata.target.wire_length
     if isinstance(rdata, OpaqueRdata):
@@ -351,9 +356,14 @@ def message_size_upper_bound(message: DnsMessage) -> int:
     is conservative.  Each name's uncompressed size is
     :attr:`DnsName.wire_length`, computed once per name.
     """
+    # Each name's DnsName.wire_length is read from its cache once set.
     size = 12  # header
     if message.question is not None:
-        size += message.question.qname.wire_length + 4
+        qname = message.question.qname
+        qname_size = qname._wire_length
+        if qname_size is None:
+            qname_size = qname.wire_length
+        size += qname_size + 4
     fixed = _FIXED_RDATA_SIZE
     for section in (message.answers, message.authority, message.additional):
         for record in section:
@@ -361,7 +371,11 @@ def message_size_upper_bound(message: DnsMessage) -> int:
             bound = fixed.get(type(rdata))
             if bound is None:
                 bound = _rdata_size_bound(rdata)
-            size += record.name.wire_length + 10 + bound
+            owner = record.name
+            owner_size = owner._wire_length
+            if owner_size is None:
+                owner_size = owner.wire_length
+            size += owner_size + 10 + bound
     if message.edns_payload_size is not None:
         size += 11  # root owner + OPT fixed fields
     return size

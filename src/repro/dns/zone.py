@@ -104,6 +104,12 @@ class Zone:
         #: parent -> the wildcard owner ``*.parent``, for every wildcard
         #: owner of the zone.
         self._wildcards: dict[DnsName, DnsName] = {}
+        #: The apex SOA record every negative answer carries (the first
+        #: record of the apex SOA RRset), or ``None``.
+        self._soa: Optional[ResourceRecord] = None
+        #: NS RRsets owned below the apex: while there are none, no name
+        #: of the zone sits under a delegation.
+        self._delegations = 0
 
     # -- mutation -------------------------------------------------------------
 
@@ -125,12 +131,17 @@ class Zone:
         rrset = RRSet(owner, rtype)
         rrset.add(record)
         self._rrsets[(owner, rtype)] = rrset
+        if rtype == RRType.SOA and owner == self.origin:
+            self._soa = record
+        elif rtype == RRType.NS and owner != self.origin:
+            self._delegations += 1
         if owned is None:
             owned = self._owners[owner] = {}
             extant = self._extant
             for ancestor in owner.ancestors(include_self=True):
                 extant[ancestor] = extant.get(ancestor, 0) + 1
-            if owner.labels and owner.labels[0] == WILDCARD_LABEL:
+            labels = owner._labels
+            if labels and labels[0] == WILDCARD_LABEL:
                 self._wildcards[owner.parent] = owner
         owned[rtype] = rrset
 
@@ -144,12 +155,17 @@ class Zone:
         non-terminal above it that no other owner still holds up."""
         if self._rrsets.pop((owner, rtype), None) is None:
             return
+        if rtype == RRType.SOA and owner == self.origin:
+            self._soa = None
+        elif rtype == RRType.NS and owner != self.origin:
+            self._delegations -= 1
         owned = self._owners[owner]
         del owned[rtype]
         if owned:
             return
         del self._owners[owner]
-        if owner.labels and owner.labels[0] == WILDCARD_LABEL:
+        labels = owner._labels
+        if labels and labels[0] == WILDCARD_LABEL:
             del self._wildcards[owner.parent]
         extant = self._extant
         for ancestor in owner.ancestors(include_self=True):
@@ -179,10 +195,9 @@ class Zone:
 
     @property
     def soa(self) -> Optional[ResourceRecord]:
-        rrset = self._rrsets.get((self.origin, RRType.SOA))
-        if rrset is not None and rrset.records:
-            return rrset.records[0]
-        return None
+        """The apex SOA record (the first one added), kept by
+        :meth:`add_record` and :meth:`remove_rrset`; ``None`` without one."""
+        return self._soa
 
     def name_exists(self, qname: DnsName) -> bool:
         """Whether the name exists: it owns an RRset or has a descendant
@@ -208,10 +223,11 @@ class Zone:
         rrsets = self._rrsets
         current = qname
         best: Optional[DnsName] = None
-        for _ in range(len(qname) - self._origin_depth):
+        for _ in range(len(qname._labels) - self._origin_depth):
             if (current, RRType.NS) in rrsets:
                 best = current
-            current = current.parent
+            parent = current._parent
+            current = current.parent if parent is None else parent
         return best
 
     def _glue_for(self, ns_rrset: RRSet) -> list[ResourceRecord]:
@@ -231,14 +247,15 @@ class Zone:
         if not qname.is_subdomain_of(self.origin):
             raise ZoneError(f"{qname} is not within zone {self.origin}")
 
-        delegation = self._delegation_below_origin(qname)
-        if delegation is not None:
-            ns_rrset = self._rrsets[(delegation, RRType.NS)]
-            return LookupResult(
-                LookupKind.REFERRAL,
-                authority=ns_rrset.records[:],
-                additional=self._glue_for(ns_rrset),
-            )
+        if self._delegations:
+            delegation = self._delegation_below_origin(qname)
+            if delegation is not None:
+                ns_rrset = self._rrsets[(delegation, RRType.NS)]
+                return LookupResult(
+                    LookupKind.REFERRAL,
+                    authority=ns_rrset.records[:],
+                    additional=self._glue_for(ns_rrset),
+                )
 
         return self._lookup_at(qname, qtype, synthesize_as=None) or \
             self._wildcard_lookup(qname, qtype) or \
@@ -249,50 +266,57 @@ class Zone:
         """Positive lookup at ``owner``; records are re-owned to
         ``synthesize_as`` for wildcard synthesis.  ``None`` when ``owner``
         does not exist (no RRset at or below it)."""
-        if owner not in self._extant:
-            return None         # every owner is extant, so nothing is here
-        rrsets = self._rrsets
-        cname = rrsets.get((owner, RRType.CNAME))
+        owned = self._owners.get(owner)
+        if owned is None:
+            if owner not in self._extant:
+                return None     # every owner is extant, so nothing is here
+            # An empty non-terminal: it exists but holds no records.
+            if qtype == RRType.ANY:
+                return None
+            return LookupResult(LookupKind.NODATA, soa=self._soa)
+        cname = owned.get(RRType.CNAME)
         if cname is not None and cname.records and \
                 qtype not in (RRType.CNAME, RRType.ANY):
             return LookupResult(LookupKind.CNAME, rrset=_reown(cname, synthesize_as))
         if qtype == RRType.ANY:
-            owned = self._owners.get(owner)
             records = [
                 record for rrset in owned.values() for record in rrset.records
-            ] if owned else []
+            ]
             if records:
                 rrset = RRSet(owner, records[0].rtype, records=records)
                 return LookupResult(LookupKind.ANSWER,
                                     rrset=_reown(rrset, synthesize_as))
             return None
-        rrset = rrsets.get((owner, qtype))
+        rrset = owned.get(qtype)
         if rrset is not None and rrset.records:
             return LookupResult(LookupKind.ANSWER, rrset=_reown(rrset, synthesize_as))
-        return LookupResult(LookupKind.NODATA, soa=self.soa)
+        return LookupResult(LookupKind.NODATA, soa=self._soa)
 
     def _wildcard_lookup(self, qname: DnsName, qtype: RRType) -> Optional[LookupResult]:
         # Search for a wildcard at each ancestor within the zone, from
         # ``qname``'s parent up to the apex.
-        current = qname
         wildcards = self._wildcards
-        for _ in range(len(qname) - self._origin_depth):
-            current = current.parent
+        if not wildcards:
+            return None
+        current = qname
+        for _ in range(len(qname._labels) - self._origin_depth):
+            parent = current._parent
+            current = current.parent if parent is None else parent
             wildcard = wildcards.get(current)
             if wildcard is not None:
                 result = self._lookup_at(wildcard, qtype, synthesize_as=qname)
                 if result is not None and result.kind in (LookupKind.ANSWER, LookupKind.CNAME):
                     return result
-                return LookupResult(LookupKind.NODATA, soa=self.soa)
+                return LookupResult(LookupKind.NODATA, soa=self._soa)
             if current in self._extant:
                 # A closer existing name blocks wildcards above it.
                 return None
         return None
 
     def _negative(self, qname: DnsName) -> LookupResult:
-        if self.name_exists(qname):
-            return LookupResult(LookupKind.NODATA, soa=self.soa)
-        return LookupResult(LookupKind.NXDOMAIN, soa=self.soa)
+        if qname in self._extant:
+            return LookupResult(LookupKind.NODATA, soa=self._soa)
+        return LookupResult(LookupKind.NXDOMAIN, soa=self._soa)
 
 
 def _reown(rrset: RRSet, new_owner: Optional[DnsName]) -> RRSet:

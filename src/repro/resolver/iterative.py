@@ -104,13 +104,18 @@ class IterativeResolver:
         (SERVFAIL).
         """
         chain: list[RRSet] = []
-        seen_names: set[DnsName] = set()
+        # The names of the chain so far, built at its first CNAME link
+        # (most resolutions have none).
+        seen_names: Optional[set[DnsName]] = None
         current = qname
         for depth in range(MAX_CNAME_DEPTH):
-            if current in seen_names:
-                raise CnameLoopError(f"CNAME loop at {current}")
-            seen_names.add(current)
             if depth:
+                if seen_names is None:
+                    seen_names = {qname}
+                seen = len(seen_names)
+                seen_names.add(current)
+                if len(seen_names) == seen:
+                    raise CnameLoopError(f"CNAME loop at {current}")
                 step = self._resolve_step(current, qtype, cache, send)
             else:
                 step = self._query_authorities(current, qtype, cache, send, 0)
@@ -219,46 +224,52 @@ class IterativeResolver:
                          ) -> Optional[StepResult]:
         """Cache everything in the response; ``None`` means it is a referral."""
         now = self.clock.now
-        if response.rcode == RCode.NXDOMAIN:
-            soa = next((r for r in response.authority if r.rtype == RRType.SOA), None)
+        nxdomain = response.rcode == RCode.NXDOMAIN
+        if not nxdomain:
+            answers = response.answers
+            if answers:
+                if len(answers) == 1:
+                    # What group_rrsets builds for one record, without the
+                    # grouping dictionary.
+                    record = answers[0]
+                    answer_sets = [RRSet(record.name, record.rtype,
+                                         record.rclass, [record])]
+                else:
+                    answer_sets = group_rrsets(answers)
+                direct = alias = None
+                for rrset in answer_sets:
+                    cache.put_rrset(rrset, now)
+                    # Usually the very name asked for: skip __eq__ then.
+                    if direct is None and (rrset.name is qname
+                                           or rrset.name == qname):
+                        if rrset.rtype == qtype or qtype == RRType.ANY:
+                            direct = rrset
+                        elif alias is None and rrset.rtype == RRType.CNAME:
+                            alias = rrset
+                if direct is not None:
+                    return StepResult(AnswerKind.ANSWER, rrset=direct)
+                if alias is not None:
+                    return StepResult(AnswerKind.CNAME, rrset=alias)
+                # Answer section without our name — treat as NODATA.
+                return StepResult(AnswerKind.NODATA)
+            if response.is_referral():
+                for rrset in group_rrsets(response.authority):
+                    if rrset.rtype == RRType.NS:
+                        cache.put_rrset(rrset, now)
+                for rrset in group_rrsets(response.additional):
+                    if rrset.rtype in (RRType.A, RRType.AAAA):
+                        cache.put_rrset(rrset, now)
+                return None
+
+        # A negative answer, cached with the first SOA in its authority.
+        soa = None
+        for record in response.authority:
+            if record.rtype == RRType.SOA:
+                soa = record
+                break
+        if nxdomain:
             cache.put_nxdomain(qname, now, soa=soa)
             return StepResult(AnswerKind.NXDOMAIN, soa=soa)
-
-        answers = response.answers
-        if answers:
-            if len(answers) == 1:
-                # What group_rrsets builds for one record, without the
-                # grouping dictionary.
-                record = answers[0]
-                answer_sets = [RRSet(record.name, record.rtype, record.rclass,
-                                     [record])]
-            else:
-                answer_sets = group_rrsets(answers)
-            direct = alias = None
-            for rrset in answer_sets:
-                cache.put_rrset(rrset, now)
-                if direct is None and rrset.name == qname:
-                    if rrset.rtype == qtype or qtype == RRType.ANY:
-                        direct = rrset
-                    elif alias is None and rrset.rtype == RRType.CNAME:
-                        alias = rrset
-            if direct is not None:
-                return StepResult(AnswerKind.ANSWER, rrset=direct)
-            if alias is not None:
-                return StepResult(AnswerKind.CNAME, rrset=alias)
-            # Answer section without our name — treat as NODATA.
-            return StepResult(AnswerKind.NODATA)
-
-        if response.is_referral():
-            for rrset in group_rrsets(response.authority):
-                if rrset.rtype == RRType.NS:
-                    cache.put_rrset(rrset, now)
-            for rrset in group_rrsets(response.additional):
-                if rrset.rtype in (RRType.A, RRType.AAAA):
-                    cache.put_rrset(rrset, now)
-            return None
-
-        soa = next((r for r in response.authority if r.rtype == RRType.SOA), None)
         cache.put_nodata(qname, qtype, now, soa=soa)
         return StepResult(AnswerKind.NODATA, soa=soa)
 
@@ -305,7 +316,7 @@ class IterativeResolver:
         now = self.clock.now
         zone = qname
         # qname itself, then each ancestor up to and including the root.
-        for _ in range(len(qname) + 1):
+        for _ in range(len(qname._labels) + 1):
             entry = cache.get(zone, RRType.NS, now)
             if entry is not None and entry.kind is EntryKind.POSITIVE:
                 ips: list[str] = []
@@ -321,5 +332,6 @@ class IterativeResolver:
                             ips.append(address.rdata.address)  # type: ignore[attr-defined]
                 if ips:
                     return zone, ips
-            zone = zone.parent
+            parent = zone._parent
+            zone = zone.parent if parent is None else parent
         return ROOT, list(self.root_hint_ips)

@@ -32,7 +32,7 @@ from ..dns.edns import maybe_truncate
 from ..dns.errors import ResolutionError
 from ..dns.message import DnsMessage
 from ..dns.name import DnsName
-from ..dns.record import CnameRdata, RRSet
+from ..dns.record import CnameRdata, ResourceRecord, RRSet
 from ..dns.rrtype import RCode, RRType
 from ..net.address import Prefix
 from ..net.network import LinkProfile, Network
@@ -131,9 +131,11 @@ class ResolutionPlatform:
         self._sequence = 0
         #: caches listed here are "down" — resilience experiments (§II-B).
         self._offline_caches: set[int] = set()
-        #: frontend dedup table: (qname, qtype) -> (expires_at, response).
-        self._frontend_table: dict[tuple[DnsName, RRType],
-                                   tuple[float, DnsMessage]] = {}
+        #: frontend dedup table: (qname, qtype) -> (expires_at, rcode,
+        #: answer records) of the last resolved answer.
+        self._frontend_table: dict[
+            tuple[DnsName, RRType],
+            tuple[float, RCode, list[ResourceRecord]]] = {}
 
     def _build_caches(self, config: PlatformConfig) -> list[DnsCache]:
         caches = []
@@ -231,16 +233,25 @@ class ResolutionPlatform:
             response = query.make_response(RCode.SERVFAIL)
             response.recursion_available = True
             return response
-        response = query.make_response(rcode)
-        response.recursion_available = True
-        response.edns_payload_size = (
-            self.config.edns_payload_size
-            if query.edns_payload_size is not None else None)
-        answers = response.answers
+        answers: list[ResourceRecord] = []
         for rrset in chain:
             answers.extend(rrset.records)
         if self.config.frontend_dedup_window > 0:
-            self._frontend_store(query, response)
+            self._frontend_store(query, rcode, answers)
+        return self._client_response(query, rcode, answers)
+
+    def _client_response(self, query: DnsMessage, rcode: RCode,
+                         answers: list[ResourceRecord]) -> DnsMessage:
+        """The platform's answer to ``query``: ``answers`` under ``rcode``,
+        this platform's EDNS size when the query offers EDNS, and UDP
+        truncation to the payload limit in force.  Resolved and
+        frontend-collapsed answers are both built here, so a collapsed
+        answer negotiates and truncates for the client that asked."""
+        response = query.make_response(rcode)
+        response.recursion_available = True
+        if query.edns_payload_size is not None:
+            response.edns_payload_size = self.config.edns_payload_size
+        response.answers = answers
         return maybe_truncate(query, response, self.config.edns_payload_size)
 
     def _frontend_lookup(self, query: DnsMessage) -> Optional[DnsMessage]:
@@ -249,20 +260,18 @@ class ResolutionPlatform:
         entry = self._frontend_table.get(key)
         if entry is None:
             return None
-        expires_at, recorded = entry
+        expires_at, rcode, answers = entry
         if self.network.clock.now >= expires_at:
             del self._frontend_table[key]
             return None
         self.stats.frontend_collapsed += 1
-        response = query.make_response(recorded.rcode)
-        response.recursion_available = True
-        response.answers = list(recorded.answers)
-        return response
+        return self._client_response(query, rcode, list(answers))
 
-    def _frontend_store(self, query: DnsMessage, response: DnsMessage) -> None:
+    def _frontend_store(self, query: DnsMessage, rcode: RCode,
+                        answers: list[ResourceRecord]) -> None:
         self._frontend_table[(query.qname, query.qtype)] = (
             self.network.clock.now + self.config.frontend_dedup_window,
-            response,
+            rcode, answers,
         )
 
     def _pick_cache(self, context: QueryContext) -> Optional[DnsCache]:

@@ -106,42 +106,46 @@ class AuthoritativeServer:
         question = query.question
         assert question is not None
         zone = self.zone_for(question.qname)
+        # The response echoes the query's EDNS size (no OPT record without
+        # one); a query that offers EDNS gets this server's own size, which
+        # is None when the server does not speak EDNS.
         if zone is None:
             refused = query.make_response(RCode.REFUSED)
-            refused.edns_payload_size = self._negotiated_payload(query)
+            if query.edns_payload_size is not None:
+                refused.edns_payload_size = self.edns_payload_size
             return refused
 
         result = zone.lookup(question.qname, question.qtype)
         response = query.make_response()
-        response.edns_payload_size = self._negotiated_payload(query)
+        if query.edns_payload_size is not None:
+            response.edns_payload_size = self.edns_payload_size
 
-        if result.kind == LookupKind.ANSWER:
-            response.authoritative = True
-            response.add_answer(result.records)
-        elif result.kind == LookupKind.CNAME:
-            response.authoritative = True
-            response.add_answer(result.records)
-            if not self.minimal_responses:
-                self._chase_cname_in_zone(zone, result.records[0], query, response)
-        elif result.kind == LookupKind.REFERRAL:
-            response.authoritative = False
-            response.add_authority(result.authority)
-            response.add_additional(result.additional)
-        elif result.kind == LookupKind.NODATA:
+        kind = result.kind
+        if kind == LookupKind.NODATA:
             response.authoritative = True
             if result.soa is not None:
-                response.add_authority([result.soa])
+                response.authority.append(result.soa)
+        elif kind == LookupKind.ANSWER:
+            response.authoritative = True
+            assert result.rrset is not None
+            response.answers.extend(result.rrset.records)
+        elif kind == LookupKind.CNAME:
+            response.authoritative = True
+            assert result.rrset is not None
+            records = result.rrset.records
+            response.answers.extend(records)
+            if not self.minimal_responses:
+                self._chase_cname_in_zone(zone, records[0], query, response)
+        elif kind == LookupKind.REFERRAL:
+            response.authoritative = False
+            response.authority.extend(result.authority)
+            response.additional.extend(result.additional)
         else:  # NXDOMAIN
             response.authoritative = True
             response.rcode = RCode.NXDOMAIN
             if result.soa is not None:
-                response.add_authority([result.soa])
+                response.authority.append(result.soa)
         return response
-
-    def _negotiated_payload(self, query: DnsMessage) -> Optional[int]:
-        if query.edns_payload_size is None or self.edns_payload_size is None:
-            return None
-        return self.edns_payload_size
 
     def _chase_cname_in_zone(self, zone: Zone, cname_record: "ResourceRecord",
                              query: DnsMessage, response: DnsMessage,

@@ -88,13 +88,19 @@ class QueryLog:
             self._timestamps.append(entry.timestamp)
             self._by_qname.setdefault(qname, []).append(position)
             self._by_suffix.setdefault(qname, []).append(position)
-            parent = qname.parent
+            parent = qname._parent
+            if parent is None:
+                parent = qname.parent
             if parent is not qname:         # the root is its own parent
                 chain = self._parent_buckets.get(parent)
                 if chain is None:
-                    chain = self._parent_buckets[parent] = tuple(
-                        self._by_suffix.setdefault(ancestor, [])
-                        for ancestor in parent.ancestors(include_self=True))
+                    # A plain loop: each fresh parent builds one (SMTP
+                    # probes make a fresh parent per ``_dmarc`` lookup).
+                    setdefault = self._by_suffix.setdefault
+                    buckets: list[list[int]] = []
+                    for ancestor in parent.ancestors(include_self=True):
+                        buckets.append(setdefault(ancestor, []))
+                    chain = self._parent_buckets[parent] = tuple(buckets)
                 for bucket in chain:
                     bucket.append(position)
         self._entries.append(entry)

@@ -145,6 +145,68 @@ class TestLookup:
         assert result.kind == LookupKind.ANSWER
 
 
+class TestApexSoa:
+    """``Zone.soa`` is the apex SOA record the zone keeps, and every
+    negative answer carries that very record."""
+
+    @staticmethod
+    def _soa(owner="cache.example", serial=1):
+        return soa_record(name(owner), name("ns.cache.example"),
+                          name("admin.cache.example"), serial=serial,
+                          minimum=60)
+
+    def test_kept_from_first_add_until_removed(self):
+        zone = Zone("cache.example")
+        assert zone.soa is None
+        zone.add_record(a_record(name("host.cache.example"), "192.0.2.1"))
+        assert zone.soa is None
+        first, second = self._soa(serial=1), self._soa(serial=2)
+        zone.add_record(first)
+        zone.add_record(second)
+        assert zone.soa is first
+        zone.remove_rrset(name("cache.example"), RRType.SOA)
+        assert zone.soa is None
+        zone.add_record(second)
+        assert zone.soa is second
+
+    def test_only_the_apex_counts(self):
+        zone = Zone("cache.example")
+        zone.add_record(self._soa(owner="sub.cache.example"))
+        assert zone.soa is None
+        apex = self._soa()
+        zone.add_record(apex)
+        zone.remove_rrset(name("sub.cache.example"), RRType.SOA)
+        zone.remove_rrset(name("cache.example"), RRType.A)   # absent
+        assert zone.soa is apex
+
+    def test_apex_spelling_does_not_matter(self):
+        zone = Zone("cache.example")
+        apex = self._soa(owner="Cache.Example")
+        zone.add_record(apex)
+        assert zone.soa is apex
+        zone.remove_rrset(name("CACHE.example"), RRType.SOA)
+        assert zone.soa is None
+
+    def test_negative_answers_carry_it(self, zone):
+        nodata = zone.lookup(name("host.cache.example"), RRType.TXT)
+        nxdomain = zone.lookup(name("missing.cache.example"), RRType.A)
+        zone.add_record(a_record(name("a.deep.cache.example"), "192.0.2.2"))
+        empty = zone.lookup(name("deep.cache.example"), RRType.A)
+        zone.add_record(a_record(name("*.wild.cache.example"), "192.0.2.3"))
+        synthesized = zone.lookup(name("x.wild.cache.example"), RRType.TXT)
+        assert [r.kind for r in (nodata, nxdomain, empty, synthesized)] == [
+            LookupKind.NODATA, LookupKind.NXDOMAIN, LookupKind.NODATA,
+            LookupKind.NODATA]
+        for result in (nodata, nxdomain, empty, synthesized):
+            assert result.soa is zone.soa is not None
+
+    def test_negative_answers_without_soa(self):
+        zone = Zone("cache.example")
+        zone.add_record(a_record(name("host.cache.example"), "192.0.2.1"))
+        assert zone.lookup(name("host.cache.example"), RRType.TXT).soa is None
+        assert zone.lookup(name("nx.cache.example"), RRType.A).soa is None
+
+
 class TestDelegation:
     @pytest.fixture
     def delegated(self, zone):
@@ -177,6 +239,23 @@ class TestDelegation:
             name("deep.sub.cache.example")) == name("sub.cache.example")
         assert delegated.delegation_point_for(
             name("host.cache.example")) is None
+
+    def test_removed_cut_no_longer_refers(self, delegated):
+        """The zone counts its cuts per NS RRset: a second NS record at
+        the cut adds none, removing the RRset removes the cut, and an NS
+        RRset added at an owner that already holds data makes one."""
+        delegated.add_record(ns_record(name("sub.cache.example"),
+                                       name("ns2.sub.cache.example")))
+        delegated.add_record(ns_record(name("cache.example"),
+                                       name("ns.cache.example")))
+        delegated.remove_rrset(name("sub.cache.example"), RRType.NS)
+        result = delegated.lookup(name("x.sub.cache.example"), RRType.A)
+        assert result.kind == LookupKind.NXDOMAIN
+        delegated.add_record(txt_record(name("sub.cache.example"), "held"))
+        delegated.add_record(ns_record(name("Sub.Cache.Example"),
+                                       name("ns.sub.cache.example")))
+        result = delegated.lookup(name("x.sub.cache.example"), RRType.A)
+        assert result.kind == LookupKind.REFERRAL
 
 
 class TestWildcard:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import enumerate_direct, queries_for_confidence
-from repro.dns import DnsMessage, RCode, RRType
+from repro.dns import DnsMessage, RCode, RRType, txt_record
+from repro.dns.wire import message_wire_size
 
 
 def dedup_platform(world, n_caches=4, window=2.0):
@@ -57,6 +58,59 @@ class TestFrontendDedup:
         world.prober.probe(ingress, probe, RRType.A)
         world.prober.probe(ingress, probe, RRType.TXT)
         assert hosted.platform.stats.frontend_collapsed == 0
+
+
+class TestCollapsedResponsesMatchResolvedOnes:
+    """A collapsed answer is built for the client that asked, exactly
+    like a resolved one: its EDNS size and its truncation."""
+
+    CLIENT = "198.51.100.7"
+
+    def ask(self, hosted, qname, qtype=RRType.A, edns=None, via_tcp=False):
+        query = DnsMessage.make_query(qname, qtype, msg_id=1,
+                                      edns_payload_size=edns)
+        query.via_tcp = via_tcp
+        return hosted.platform.resolve_for_client(query, self.CLIENT)
+
+    def test_collapsed_answer_negotiates_edns(self, world):
+        hosted = dedup_platform(world)
+        hosted.platform.config.edns_payload_size = 1232
+        probe = world.cde.unique_name("fd")
+        first = self.ask(hosted, probe, edns=4096)
+        again = self.ask(hosted, probe, edns=4096)
+        plain = self.ask(hosted, probe)
+        assert hosted.platform.stats.frontend_collapsed == 2
+        assert first.edns_payload_size == 1232
+        assert again.edns_payload_size == 1232
+        assert plain.edns_payload_size is None
+        assert again.answers == first.answers == plain.answers
+
+    def test_collapsed_answer_truncates_for_small_udp_client(self, world):
+        hosted = dedup_platform(world)
+        owner = world.cde.unique_name("big")
+        chunks = tuple("x" * 250 for _ in range(3))
+        world.cde.zone.add_record(txt_record(owner, *chunks))
+        full = self.ask(hosted, owner, RRType.TXT, via_tcp=True)
+        udp = self.ask(hosted, owner, RRType.TXT)
+        large = self.ask(hosted, owner, RRType.TXT, edns=4096)
+        tcp = self.ask(hosted, owner, RRType.TXT, via_tcp=True)
+        assert hosted.platform.stats.frontend_collapsed == 3
+        assert full.answers and not full.truncated
+        assert udp.truncated and not udp.answers
+        assert message_wire_size(udp) <= 512
+        assert not large.truncated and large.answers == full.answers
+        assert not tcp.truncated and tcp.answers == full.answers
+
+    def test_truncated_first_answer_is_still_collapsed_whole(self, world):
+        hosted = dedup_platform(world)
+        owner = world.cde.unique_name("big")
+        chunks = tuple("x" * 250 for _ in range(3))
+        world.cde.zone.add_record(txt_record(owner, *chunks))
+        udp = self.ask(hosted, owner, RRType.TXT)
+        tcp = self.ask(hosted, owner, RRType.TXT, via_tcp=True)
+        assert hosted.platform.stats.frontend_collapsed == 1
+        assert udp.truncated and not udp.answers
+        assert not tcp.truncated and tcp.answers
 
 
 class TestPacingCountersDedup:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dns import DnsMessage, RCode, RRType, name, txt_record
 from repro.dns.edns import effective_payload_limit, maybe_truncate
-from repro.dns.wire import message_wire_size
+from repro.dns.wire import message_size_upper_bound, message_wire_size
 
 
 def big_txt_record(owner, size=700):
@@ -33,6 +33,37 @@ class TestMaybeTruncate:
         response = query.make_response()
         response.add_answer([txt_record(name("s.example"), "tiny")])
         assert maybe_truncate(query, response, 4096) is response
+
+    def test_bound_within_512_returns_before_the_limit(self, monkeypatch):
+        """No limit is below 512 bytes, so a response whose size bound
+        fits in 512 comes back unchanged without the limit computed."""
+        from repro.dns import edns
+
+        def no_limit(query, responder_max):
+            raise AssertionError("limit computed for a response within 512")
+
+        monkeypatch.setattr(edns, "effective_payload_limit", no_limit)
+        query = DnsMessage.make_query(name("s.example"), RRType.TXT,
+                                      edns_payload_size=4096)
+        response = query.make_response()
+        response.add_answer([txt_record(name("s.example"), "x" * 100)])
+        assert 400 < message_size_upper_bound(response) <= 512
+        assert maybe_truncate(query, response, 4096) is response
+        assert maybe_truncate(query, response, None) is response
+
+    def test_bound_above_512_still_reads_the_limit(self):
+        """Past 512 the limit decides: kept under EDNS, cut without."""
+        query = DnsMessage.make_query(name("m.example"), RRType.TXT,
+                                      edns_payload_size=1232)
+        response = query.make_response()
+        response.add_answer([txt_record(name("m.example"), "x" * 200)])
+        assert message_size_upper_bound(response) > 512
+        assert message_wire_size(response) <= 512
+        assert maybe_truncate(query, response, 4096) is response
+        big = query.make_response()
+        big.add_answer([big_txt_record(name("m.example"), size=600)])
+        assert maybe_truncate(query, big, 4096) is big
+        assert maybe_truncate(query, big, None).truncated
 
     def test_edns_lifts_limit(self):
         query, response = self.make_pair(edns=4096)
